@@ -111,20 +111,22 @@ func ThrowToDesigns(workloads []int) *Table {
 
 // throwToLatency runs the scenario and returns (steps for throwTo to
 // return, steps until delivery), both measured from the throwTo call.
+// Delivery is read at the entry of the target's handler, a constant
+// number of unwinding steps after the exception is raised.
 func throwToLatency(opts core.Options, work int) (uint64, uint64) {
 	var tThrow, tReturn, tDeliver uint64
-	opts.Tracer = func(ev sched.Event) {
-		if d, ok := ev.(sched.EvDeliver); ok && tDeliver == 0 {
-			tDeliver = d.StepNo
-		}
-	}
 	steps := func() core.IO[uint64] { return core.FromNode[uint64](sched.Steps()) }
 	busy := core.ReplicateM_(work, core.Return(core.UnitValue))
 	prog := core.Bind(core.NewEmptyMVar[core.Unit](), func(ready core.MVar[core.Unit]) core.IO[core.Unit] {
 		target := core.Catch(
 			core.Block(core.Seq(core.Put(ready, core.UnitValue), core.Void(busy),
 				core.SafePoint())),
-			func(core.Exception) core.IO[core.Unit] { return core.Return(core.UnitValue) })
+			func(core.Exception) core.IO[core.Unit] {
+				return core.Bind(steps(), func(s uint64) core.IO[core.Unit] {
+					tDeliver = s
+					return core.Return(core.UnitValue)
+				})
+			})
 		return core.Bind(core.Fork(target), func(tid core.ThreadID) core.IO[core.Unit] {
 			return core.Bind(core.Take(ready), func(core.Unit) core.IO[core.Unit] {
 				return core.Bind(steps(), func(s0 uint64) core.IO[core.Unit] {

@@ -13,7 +13,7 @@ import (
 
 // HotLoop builds the H1 table: the scheduler hot-loop suite measuring
 // raw steps/sec (empty-loop) and delivered throwTo/sec (throwto) at
-// serial and 2/4/8 shards. These are the paths the worker loop executes
+// 1, 2, 4 and 8 shards. These are the paths the worker loop executes
 // millions of times per second, where per-iteration channel selects,
 // mutex probes and stats copies dominate; H1 is the regression gate
 // every later PR runs against (see TestHotLoopGate and the CI hotloop
@@ -53,7 +53,7 @@ type HotLoopConfig struct {
 	EmptySteps int
 	// ThrowRounds is the number of exceptions per thrower/catcher pair.
 	ThrowRounds int
-	// Shards lists the shard counts to measure (1 = serial engine).
+	// Shards lists the shard counts to measure (1 = the default, one shard).
 	Shards []int
 }
 

@@ -31,7 +31,7 @@ type PromisesConfig struct {
 	Rounds int
 	// Races is the number of 3-way fan-outs per fan-out row.
 	Races int
-	// Shards lists the shard counts to measure (1 = serial engine).
+	// Shards lists the shard counts to measure (1 = the default, one shard).
 	Shards []int
 }
 

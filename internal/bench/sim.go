@@ -14,18 +14,18 @@ import (
 // log (internal/sim, docs/SIMULATION.md) on the H1 hot-loop workloads
 // plus the killstorm soak, each measured recorder-off and recorder-on.
 //
-// The serial rows are the gate (<10% overhead, TestSimOverheadGate):
-// on the serial engine the recorder's cost is the decision seam — an
-// interface call per scheduler pick plus an append per observed event
-// — and that is the price every recorded soak pays. The killstorm row
+// The one-shard rows are the gate (<10% overhead, TestSimOverheadGate):
+// there the recorder's cost is the decision seam — the simulation
+// driver stepping the shard in place of its worker loop, plus an append
+// per observed event — and that is the price every recorded soak pays. The killstorm row
 // is the realistic worst case: the seeded random scheduler logs one
 // event per run-queue pick, so recording cost scales with pick rate,
 // not step rate.
 //
 // The 4-shard row is informational, not gated: with a SimSource
-// attached the engine switches to the single-goroutine simulated
-// driver (shards take turns, never overlap), so the comparison against
-// the free-running parallel engine measures the price of determinism
+// attached the shards are stepped by the single-goroutine simulated
+// driver (they take turns, never overlap), so the comparison against
+// free-running workers measures the price of determinism
 // itself rather than recording overhead.
 
 // SimOverheadConfig sizes the S2 suite.

@@ -9,7 +9,7 @@ import (
 )
 
 // TestSimOverheadGate is the CI gate on the S2 suite: on every gated
-// (serial) row, attaching a schedule recorder must cost less than 10%
+// (one-shard) row, attaching a schedule recorder must cost less than 10%
 // of the recorder-off rate. Both sides are measured back to back in
 // this process, so no cross-machine normalization is needed — but it
 // is still wall clock, so it hides behind SIM_GATE=1 (the CI sim job
@@ -60,4 +60,3 @@ func TestSimOverheadGate(t *testing.T) {
 		}
 	}
 }
-

@@ -91,7 +91,14 @@ func RunActor(cfg ActorConfig) (ActorReport, error) {
 		return true
 	}
 
+	// The publisher and the injector draw from one stream and may run on
+	// different shards.
 	rng := newRand(cfg.Seed*2654435761 + 193)
+	draw := func(n int) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return rng.next(n)
+	}
 	var sup *supervise.Supervisor
 	var rep ActorReport
 
@@ -132,7 +139,7 @@ func RunActor(cfg ActorConfig) (ActorReport, error) {
 					if next > uint64(cfg.Events) {
 						return core.Return(core.UnitValue)
 					}
-					n := uint64(1 + rng.next(7))
+					n := uint64(1 + draw(7))
 					if next+n > uint64(cfg.Events)+1 {
 						n = uint64(cfg.Events) + 1 - next
 					}
@@ -141,7 +148,7 @@ func RunActor(cfg ActorConfig) (ActorReport, error) {
 						evs = append(evs, broker.Event{Topic: "soak", Seq: s, Payload: "p"})
 					}
 					return core.Then(broker.Publish(tp.Ref, evs),
-						core.Then(core.Sleep(time.Duration(rng.next(3))*time.Millisecond),
+						core.Then(core.Sleep(time.Duration(draw(3))*time.Millisecond),
 							core.Delay(func() core.IO[core.Unit] { return publish(next + n) })))
 				}
 
@@ -153,7 +160,7 @@ func RunActor(cfg ActorConfig) (ActorReport, error) {
 					if k >= cfg.Kills {
 						return core.Return(core.UnitValue)
 					}
-					next := core.Then(core.Sleep(time.Duration(1+rng.next(4))*time.Millisecond),
+					next := core.Then(core.Sleep(time.Duration(1+draw(4))*time.Millisecond),
 						core.Delay(func() core.IO[core.Unit] { return inject(k + 1) }))
 					tid, ok := s.ChildThreadID(tp.Spec.ID)
 					if !ok {

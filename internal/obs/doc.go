@@ -19,7 +19,7 @@
 //
 // Memory is bounded: each execution shard owns a ring buffer
 // (overwrite-oldest) plus a small owner-only staging buffer that the
-// scheduler flushes at time-slice boundaries, so the record hot path
+// scheduler flushes when it publishes stats, so the record hot path
 // is a single atomic increment and a slice append — no locks. Events
 // that fall off the ring are counted in per-shard drop counters, never
 // silently lost.

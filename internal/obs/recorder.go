@@ -15,7 +15,7 @@ const (
 	// that must not drop pass a larger explicit capacity.
 	DefaultRingCap = 1 << 14
 	// stageCap is the owner-only staging buffer size; the scheduler
-	// flushes at time-slice boundaries, and a full stage forces an
+	// flushes when it publishes stats, and a full stage forces an
 	// early flush so staging can never lose events.
 	stageCap = 256
 	// initialRingCap is where a ring starts; it doubles on demand up
@@ -51,7 +51,8 @@ type record struct {
 // (the scheduler calls them from the shard's goroutine); everything
 // else — Snapshot, Stats, NextSpan — is safe from any goroutine at
 // any time. A snapshot taken while the system runs lags each shard
-// by at most one time slice (the un-flushed staging buffer).
+// by the un-flushed staging buffer: at most 64 time slices of a busy
+// shard, nothing of an idle one.
 type Recorder struct {
 	ringCap int
 
@@ -230,7 +231,8 @@ func (l *ShardLog) resolve(c record) Event {
 }
 
 // Flush commits staged events to the shared ring. Owner-only; the
-// scheduler calls it at time-slice boundaries and on shutdown.
+// scheduler calls it when it publishes stats, before idling and on
+// shutdown.
 func (l *ShardLog) Flush() {
 	if len(l.staged) == 0 {
 		return

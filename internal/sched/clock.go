@@ -24,9 +24,9 @@ const (
 
 // timerEntry is one pending Sleep wake-up. Entries are lazily deleted:
 // interrupting a sleeper clears its live flag, and a stale entry is
-// skipped when it surfaces. The flag is a shared atomic because in
-// parallel mode the sleeper's owner clears it while another shard's
-// heap holds the entry.
+// skipped when it surfaces. The flag is a shared atomic because the
+// sleeper's owner clears it while another shard's heap may hold the
+// entry.
 type timerEntry struct {
 	at   int64 // absolute runtime nanoseconds
 	seq  uint64
@@ -49,60 +49,20 @@ func (h *timerHeap) Pop() any        { old := *h; n := len(old); e := old[n-1]; 
 func (h timerHeap) peek() timerEntry { return h[0] }
 
 // parkSleep parks t until d from now. The entry lands in this shard's
-// heap (parallel) or the runtime's only heap (serial).
+// heap; its arm sequence number is engine-wide, so sleepers with equal
+// deadlines wake in arm order whichever heaps hold them.
 func (rt *RT) parkSleep(t *Thread, d time.Duration) {
-	var seq uint64
-	if rt.eng != nil {
-		seq = rt.eng.nextTimerSeq.Add(1)
-	} else {
-		rt.nextTimerSeq++
-		seq = rt.nextTimerSeq
-	}
+	seq := rt.eng.nextTimerSeq.Add(1)
 	live := &atomic.Bool{}
 	live.Store(true)
 	t.parkSeq++
 	t.status = statusParked
 	t.park = parkInfo{kind: parkSleep, timerSeq: seq, timerLive: live}
 	en := timerEntry{at: rt.nowNS() + int64(d), seq: seq, t: t, live: live}
-	if rt.eng != nil {
-		rt.smu.Lock()
-		heap.Push(&rt.timers, en)
-		rt.timerN.Add(1)
-		rt.smu.Unlock()
-	} else {
-		heap.Push(&rt.timers, en)
-		rt.timerN.Add(1)
-	}
+	rt.smu.Lock()
+	heap.Push(&rt.timers, en)
+	rt.timerN.Add(1)
+	rt.smu.Unlock()
 	rt.stats.Sleeps++
-	rt.trace(EvPark{Thread: t.id, Reason: "sleep"})
 	rt.obsPark(t, parkSleep, 0)
-}
-
-// fireTimersUpTo wakes every sleeper whose deadline is <= now,
-// discarding stale entries (serial mode; the parallel engine uses
-// popDueTimersLocked).
-func (rt *RT) fireTimersUpTo(now int64) {
-	for rt.timers.Len() > 0 && rt.timers.peek().at <= now {
-		e := heap.Pop(&rt.timers).(timerEntry)
-		rt.timerN.Add(-1)
-		if e.live.Load() {
-			e.live.Store(false)
-			// Rule (Sleep): the thread resumes with return ().
-			rt.unparkWithValue(e.t, UnitValue)
-		}
-	}
-}
-
-// nextTimerAt returns the earliest live timer deadline, skipping stale
-// entries, or (0, false) when none remain (serial mode).
-func (rt *RT) nextTimerAt() (int64, bool) {
-	for rt.timers.Len() > 0 {
-		e := rt.timers.peek()
-		if e.live.Load() {
-			return e.at, true
-		}
-		heap.Pop(&rt.timers)
-		rt.timerN.Add(-1)
-	}
-	return 0, false
 }

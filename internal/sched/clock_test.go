@@ -1,9 +1,12 @@
 package sched_test
 
 import (
+	"syscall"
 	"testing"
 	"time"
 
+	"asyncexc/internal/core"
+	"asyncexc/internal/iomgr"
 	"asyncexc/internal/sched"
 )
 
@@ -44,6 +47,24 @@ func TestVirtualClockOrdersTimers(t *testing.T) {
 	}
 }
 
+// Sleepers with one deadline wake in the order they armed, not in
+// thread-id order: 'a' (the lower id) naps first and so arms its 10 ms
+// deadline after 'b' has.
+func TestVirtualClockEqualDeadlinesWakeInArmOrder(t *testing.T) {
+	rt := sched.NewRT(sched.DefaultOptions())
+	main := seq(
+		sched.Bind(sched.Fork(seq(sched.Sleep(time.Millisecond), sched.Sleep(9*time.Millisecond), sched.PutChar('a'))), drop),
+		sched.Bind(sched.Fork(seq(sched.Sleep(10*time.Millisecond), sched.PutChar('b'))), drop),
+		sched.Sleep(time.Second),
+	)
+	if _, err := rt.RunMain(main); err != nil {
+		t.Fatal(err)
+	}
+	if rt.Output() != "ba" {
+		t.Fatalf("wake order %q, want arm order \"ba\"", rt.Output())
+	}
+}
+
 func drop(any) sched.Node { return sched.ReturnUnit() }
 
 // --- real clock -------------------------------------------------------
@@ -79,6 +100,45 @@ func TestRealClockTimersInterleaveWithEvents(t *testing.T) {
 	}
 	if rt.Output() != "xt" {
 		t.Fatalf("output %q, want event before timer", rt.Output())
+	}
+}
+
+// cpuTime is the process's user+system CPU time so far.
+func cpuTime(t *testing.T) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// A runtime with nothing to run sleeps: with one shard, parked on a
+// one-second I/O operation, it blocks until the completion wakes it
+// instead of polling for it. (With siblings the idle path still polls;
+// that reading is logged, not asserted.) The clock it wakes up to is the
+// wall's: a sleep armed right after the park lasts its full length.
+func TestIdleRuntimeSleeps(t *testing.T) {
+	const park, nap = time.Second, 50 * time.Millisecond
+	for _, shards := range []int{1, 2} {
+		opts := sched.DefaultOptions()
+		opts.Clock = sched.RealClock
+		opts.Shards = shards
+		io := iomgr.Do("park", func() (core.Unit, error) {
+			time.Sleep(park)
+			return core.UnitValue, nil
+		})
+		start, before := time.Now(), cpuTime(t)
+		if _, err := sched.NewRT(opts).RunMain(seq(io.Node(), sched.Sleep(nap))); err != nil {
+			t.Fatal(err)
+		}
+		took, used := time.Since(start), cpuTime(t)-before
+		t.Logf("shards=%d: %v of CPU over a %v park", shards, used, park)
+		if shards == 1 && used > 20*time.Millisecond {
+			t.Errorf("one idle shard used %v of CPU over a %v park, want < 20ms", used, park)
+		}
+		if took < park+nap {
+			t.Errorf("shards=%d: park then sleep took %v, want >= %v", shards, took, park+nap)
+		}
 	}
 }
 

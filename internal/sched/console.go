@@ -12,12 +12,10 @@ import (
 // buffer empty parks and is stuck (rules GetChar / Stuck GetChar);
 // injecting input wakes parked readers in FIFO order.
 //
-// In parallel mode the console is shared by all shards and mu guards
-// every field; popping a reader from readers commits its wakeup, the
-// same discipline as MVar handoff. Serial mode never takes mu.
+// The console is shared by all shards and mu guards every field;
+// popping a reader from readers commits its wakeup, the same
+// discipline as MVar handoff.
 type console struct {
-	rt *RT // shard 0 in parallel mode
-
 	mu      sync.Mutex
 	in      []rune
 	out     []rune
@@ -28,18 +26,11 @@ type console struct {
 	closed bool
 }
 
-func (c *console) parallel() bool { return c.rt.eng != nil }
-
 func (c *console) putChar(ch rune) {
-	par := c.parallel()
-	if par {
-		c.mu.Lock()
-	}
+	c.mu.Lock()
 	c.out = append(c.out, ch)
 	mirror := c.mirror
-	if par {
-		c.mu.Unlock()
-	}
+	c.mu.Unlock()
 	if mirror != nil {
 		var buf [4]byte
 		n := encodeRune(buf[:], ch)
@@ -47,8 +38,7 @@ func (c *console) putChar(ch rune) {
 	}
 }
 
-// getCharLocked consumes one input character; caller holds mu in
-// parallel mode.
+// getCharLocked consumes one input character; caller holds mu.
 func (c *console) getCharLocked() (rune, bool) {
 	if len(c.in) == 0 {
 		return 0, false
@@ -64,44 +54,30 @@ func (c *console) getCharLocked() (rune, bool) {
 // exception first when about to wait (§5.3).
 func (rt *RT) getCharOrPark(t *Thread) (Node, bool) {
 	c := rt.console
-	par := c.parallel()
-	if par {
+	c.mu.Lock()
+	if len(c.in) == 0 {
+		c.mu.Unlock()
+		if n, interrupted := t.raisePendingForPark(); interrupted {
+			return n, false
+		}
 		c.mu.Lock()
 	}
 	if ch, ok := c.getCharLocked(); ok {
-		if par {
-			c.mu.Unlock()
-		}
-		return retNode{ch}, false
-	}
-	if par {
 		c.mu.Unlock()
-	}
-	if n, interrupted := t.raisePendingForPark(); interrupted {
-		return n, false
-	}
-	if par {
-		c.mu.Lock()
-		if ch, ok := c.getCharLocked(); ok {
-			c.mu.Unlock()
-			return retNode{ch}, false
-		}
+		return retNode{ch}, false
 	}
 	t.parkSeq++
 	t.status = statusParked
 	t.park = parkInfo{kind: parkGetChar}
 	c.readers = append(c.readers, t)
-	if par {
-		c.mu.Unlock()
-	}
-	rt.trace(EvPark{Thread: t.id, Reason: "getChar"})
+	c.mu.Unlock()
 	rt.obsPark(t, parkGetChar, 0)
 	return nil, true
 }
 
 // waitingReaders reports whether parked getChar readers may still be
-// woken by the environment (input not closed); used by the parallel
-// quiescence check.
+// woken by the environment (input not closed); used by the quiescence
+// check.
 func (c *console) waitingReaders() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -111,13 +87,10 @@ func (c *console) waitingReaders() bool {
 // InjectInput appends input characters to the console, waking parked
 // readers while characters remain. It must be called from the scheduler
 // goroutine (directly in tests before RunMain, or via External during a
-// run; External routes it to shard 0 in parallel mode).
+// run, which routes it to shard 0).
 func (rt *RT) InjectInput(s string) {
 	c := rt.console
-	par := c.parallel()
-	if par {
-		c.mu.Lock()
-	}
+	c.mu.Lock()
 	c.in = append(c.in, []rune(s)...)
 	type wake struct {
 		t  *Thread
@@ -125,19 +98,14 @@ func (rt *RT) InjectInput(s string) {
 	}
 	var woken []wake
 	for len(c.readers) > 0 && len(c.in) > 0 {
+		// Membership in readers implies a live getChar park (interrupts
+		// detach under mu), so the pop commits the wakeup.
 		t := c.readers[0]
 		c.readers = dequeueThread(c.readers)
-		if !par && (t.status != statusParked || t.park.kind != parkGetChar) {
-			continue
-		}
-		// Parallel: membership in readers implies a live getChar park
-		// (interrupts detach under mu), so the pop commits the wakeup.
 		ch, _ := c.getCharLocked()
 		woken = append(woken, wake{t, ch})
 	}
-	if par {
-		c.mu.Unlock()
-	}
+	c.mu.Unlock()
 	for _, w := range woken {
 		rt.deliverUnpark(w.t, w.ch)
 	}
@@ -147,20 +115,16 @@ func (rt *RT) InjectInput(s string) {
 // getChar count as deadlocked (no environment event can wake them).
 func (rt *RT) CloseInput() {
 	c := rt.console
-	if c.parallel() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.closed = true
 }
 
 // Output returns the console output transcript so far.
 func (rt *RT) Output() string {
 	c := rt.console
-	if c.parallel() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return string(c.out)
 }
 

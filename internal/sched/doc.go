@@ -25,28 +25,31 @@
 // semantics, so exceptions are delivered exactly at the points the
 // paper's transition system allows.
 //
-// The scheduler is deterministic by default (round-robin with a fixed
-// time slice measured in steps); a seeded random scheduler is available
-// for interleaving stress tests. Time is virtual by default (it
-// advances only when every thread is blocked), which makes timeout
-// tests instantaneous and reproducible; a real-time clock is available
-// for programs doing actual I/O.
+// There is one scheduler loop, an M:N work-stealing engine (shard.go):
+// one RT per shard, each stepped by a worker goroutine, with cross-shard
+// throwTo and wakeups travelling as mailbox messages applied only at
+// scheduling boundaries, so the paper's delivery points are the same at
+// every shard count (the design argument and the committed-handoff
+// protocol are in docs/PARALLEL.md). Options.Shards sets the count. The
+// default, one shard, runs on the goroutine that calls RunMain and is
+// deterministic: round-robin with a fixed time slice measured in steps
+// (a seeded random scheduler is available for interleaving stress
+// tests), and time that is virtual by default — it advances only when
+// every thread is blocked — which makes timeout tests instantaneous and
+// reproducible; a real-time clock is available for programs doing
+// actual I/O. An idle one-shard runtime blocks; it does not poll.
 //
-// Setting Options.Shards > 1 runs the same programs on an M:N
-// work-stealing engine — one RT per shard, each owned by a worker
-// goroutine, with cross-shard throwTo and wakeups travelling as
-// mailbox messages applied only at scheduling boundaries, so the
-// paper's delivery points survive sharding unchanged (the design
-// argument and the committed-handoff protocol are in
-// docs/PARALLEL.md). Each mailbox is a bounded lock-free MPSC ring
-// (mpsc.go) with a mutex-guarded overflow slow path whose fence keeps
-// per-sender FIFO across the transition; the worker's hot loop checks
-// its per-iteration obligations (stop, external events, mail, timers)
-// with single atomic loads and batches clock resync and stats
-// publication, so an idle obligation costs one predictable load per
-// scheduler iteration. Stats/ShardStats expose the counters either
-// way; Stats.MailboxDepth is the backlog high water, sampled on the
-// consumer side each time a mailbox drain begins.
+// Each mailbox is a bounded lock-free MPSC ring (mpsc.go) with a
+// mutex-guarded overflow slow path whose fence keeps per-sender FIFO
+// across the transition; the worker's hot loop checks its per-iteration
+// obligations (stop, external events, mail, timers) with single atomic
+// loads and batches clock resync and stats publication, so an idle
+// obligation costs one predictable load per scheduler iteration.
+// Stats/ShardStats expose the counters; Stats.MailboxDepth is the
+// backlog high water, sampled on the consumer side each time a mailbox
+// drain begins. Under Options.Sim a single-goroutine driver steps the
+// same shards through the same turn function with every pick routed
+// through the SimSource (sim.go, docs/SIMULATION.md).
 //
 // Setting Options.Observer attaches an event recorder (internal/obs):
 // the scheduler then records spawns, parks and wakes, steals, and the

@@ -30,10 +30,12 @@ func (ti ThreadInfo) String() string {
 // ThreadDump snapshots every live thread, ordered by ID — the
 // moral equivalent of GHC's listThreads/threadStatus, for operational
 // debugging of servers built on the runtime. Must run inside the
-// scheduler (External callback) or before/after RunMain.
+// scheduler (External callback) or before/after RunMain. Threads owned
+// by another shard are read without stopping it: their lines are exact
+// when that shard is idle and advisory while it runs.
 func (rt *RT) ThreadDump() []ThreadInfo {
-	out := make([]ThreadInfo, 0, len(rt.threads))
-	for _, t := range rt.threads {
+	var out []ThreadInfo
+	rt.eng.table.each(func(t *Thread) {
 		status := "runnable"
 		switch t.status {
 		case statusParked:
@@ -49,7 +51,7 @@ func (rt *RT) ThreadDump() []ThreadInfo {
 			Pending:    len(t.pending),
 			StackDepth: len(t.stack),
 		})
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -11,27 +11,10 @@ import (
 // the programmer" (§5). It must run inside the scheduler: call it from
 // an External callback (or a primitive's step function).
 func (rt *RT) Interrupt(tid ThreadID, e exc.Exception) {
-	if rt.eng != nil {
-		target := rt.eng.lookup(tid)
-		if target == nil {
-			return
-		}
+	if target := rt.eng.lookup(tid); target != nil {
 		span, enqNS := rt.obsEnqueue(tid, 0, e, obs.MaskUnknown, 0)
-		if !rt.deliverLocal(target, pendingExc{e: e, span: span, enqNS: enqNS}) {
-			rt.eng.send(target.owner.Load(), shardMsg{kind: msgThrowTo, t: target, e: e, span: span, enqNS: enqNS})
-		}
-		return
+		rt.routeExc(target, pendingExc{e: e, span: span, enqNS: enqNS})
 	}
-	target := rt.threads[tid]
-	if target == nil || target.status == statusDone {
-		return
-	}
-	span, enqNS := rt.obsEnqueue(tid, 0, e, obs.MaskUnknown, 0)
-	if target.status == statusParked && target.mask.Interruptible() {
-		rt.interruptStuck(target, pendingExc{e: e, span: span, enqNS: enqNS}, false)
-		return
-	}
-	target.pending = append(target.pending, pendingExc{e: e, span: span, enqNS: enqNS})
 }
 
 // InterruptFromWire is Interrupt for exceptions that arrived over a
@@ -44,29 +27,13 @@ func (rt *RT) Interrupt(tid ThreadID, e exc.Exception) {
 // It reports whether the target existed (false: it had already
 // finished or never existed; the caller answers NoProc).
 func (rt *RT) InterruptFromWire(tid ThreadID, e exc.Exception, origin string, wireSpan uint64) bool {
-	if rt.eng != nil {
-		target := rt.eng.lookup(tid)
-		if target == nil {
-			return false
-		}
-		span, enqNS := rt.obsEnqueue(tid, 0, e, obs.MaskUnknown, 0)
-		rt.obsRemoteInject(tid, e, origin, span, wireSpan)
-		if !rt.deliverLocal(target, pendingExc{e: e, span: span, enqNS: enqNS}) {
-			rt.eng.send(target.owner.Load(), shardMsg{kind: msgThrowTo, t: target, e: e, span: span, enqNS: enqNS})
-		}
-		return true
-	}
-	target := rt.threads[tid]
-	if target == nil || target.status == statusDone {
+	target := rt.eng.lookup(tid)
+	if target == nil {
 		return false
 	}
 	span, enqNS := rt.obsEnqueue(tid, 0, e, obs.MaskUnknown, 0)
 	rt.obsRemoteInject(tid, e, origin, span, wireSpan)
-	if target.status == statusParked && target.mask.Interruptible() {
-		rt.interruptStuck(target, pendingExc{e: e, span: span, enqNS: enqNS}, false)
-		return true
-	}
-	target.pending = append(target.pending, pendingExc{e: e, span: span, enqNS: enqNS})
+	rt.routeExc(target, pendingExc{e: e, span: span, enqNS: enqNS})
 	return true
 }
 
@@ -124,57 +91,23 @@ func AwaitCleanup(
 	}}
 }
 
-// parkAwaitCleanup is parkAwait plus the dropped handler. In parallel
-// mode the completion travels as a msgAwaitDone to the thread's owner
-// (staleness-checked against the park's awaitID); serially it runs as
-// an External callback.
+// parkAwaitCleanup is parkAwait plus the dropped handler. The
+// completion travels as a msgAwaitDone to the thread's owner
+// (staleness-checked against the park's awaitID).
 func (rt *RT) parkAwaitCleanup(
 	t *Thread,
 	start func(complete func(v any, e exc.Exception)) (cancel func()),
 	dropped func(v any, e exc.Exception),
 ) {
-	if e := rt.eng; e != nil {
-		id := e.nextAwaitID.Add(1)
-		t.parkSeq++
-		t.status = statusParked
-		t.park = parkInfo{kind: parkAwait, awaitID: id}
-		e.outstandingIO.Add(1)
-		complete := func(v any, ex exc.Exception) {
-			e.send(t.owner.Load(), shardMsg{kind: msgAwaitDone, t: t, v: v, e: ex, seq: id, dropped: dropped})
-		}
-		t.park.cancel = start(complete)
-		rt.trace(EvPark{Thread: t.id, Reason: "await"})
-		rt.obsPark(t, parkAwait, 0)
-		return
-	}
-	rt.nextAwaitID++
-	id := rt.nextAwaitID
+	e := rt.eng
+	id := e.nextAwaitID.Add(1)
 	t.parkSeq++
 	t.status = statusParked
 	t.park = parkInfo{kind: parkAwait, awaitID: id}
-	rt.outstandingIO++
-	complete := func(v any, e exc.Exception) {
-		rt.External(func(rt *RT) {
-			rt.outstandingIO--
-			if t.status != statusParked || t.park.kind != parkAwait || t.park.awaitID != id {
-				if dropped != nil {
-					dropped(v, e)
-				}
-				return
-			}
-			if e != nil {
-				rt.obsUnpark(t)
-				t.status = statusRunnable
-				t.park = parkInfo{}
-				t.cur = throwNode{e}
-				rt.enqueue(t)
-				rt.trace(EvUnpark{Thread: t.id})
-				return
-			}
-			rt.unparkWithValue(t, v)
-		})
+	e.outstandingIO.Add(1)
+	complete := func(v any, ex exc.Exception) {
+		e.send(t.owner.Load(), shardMsg{kind: msgAwaitDone, t: t, v: v, e: ex, seq: id, dropped: dropped})
 	}
 	t.park.cancel = start(complete)
-	rt.trace(EvPark{Thread: t.id, Reason: "await"})
 	rt.obsPark(t, parkAwait, 0)
 }

@@ -187,9 +187,6 @@ func TestMpscPushPopNoAlloc(t *testing.T) {
 func overflowHarness(t *testing.T) (e *engine, target *RT) {
 	t.Helper()
 	rt := NewRT(Options{TimeSlice: 50, Shards: 2, mailboxCap: 8})
-	if rt.eng == nil {
-		t.Fatalf("expected a parallel engine")
-	}
 	return rt.eng, rt.eng.shards[1]
 }
 

@@ -15,20 +15,19 @@ import (
 // which realizes one of the interleavings the paper's nondeterministic
 // semantics allows while giving the fairness practical programs expect.
 //
-// In parallel mode every state transition happens under mu, and popping
-// a waiter from takers/putters COMMITS its wakeup: the popped thread
+// Every state transition happens under mu, and popping a waiter from
+// takers/putters COMMITS its wakeup: the popped thread
 // will be resumed by the owner of its shard (directly, or via a
 // must-deliver msgUnpark). An interrupt racing with the handoff must
 // first remove the thread from the queue under mu; if the removal fails
 // the handoff has committed and the exception goes to the pending queue
 // instead — §5.3's interruptibility window closes "right up until the
-// point when it acquires the MVar", and at that point it has. Serial
-// mode never takes mu.
+// point when it acquires the MVar", and at that point it has.
 type MVar struct {
 	id   uint64
 	name string
 
-	mu sync.Mutex // parallel mode only
+	mu sync.Mutex
 
 	full bool
 	val  any
@@ -60,14 +59,7 @@ func (m *MVar) String() string {
 }
 
 func (rt *RT) newMVar(full bool, v any) *MVar {
-	var id uint64
-	if rt.eng != nil {
-		id = rt.eng.nextMVarID.Add(1)
-	} else {
-		rt.nextMVarID++
-		id = rt.nextMVarID
-	}
-	mv := &MVar{id: id, full: full, val: v}
+	mv := &MVar{id: rt.eng.nextMVarID.Add(1), full: full, val: v}
 	rt.stats.MVarsCreated++
 	return mv
 }
@@ -77,8 +69,8 @@ func (rt *RT) newMVar(full bool, v any) *MVar {
 // Safe only before RunMain or from within scheduler callbacks.
 func (rt *RT) NewMVarDirect(full bool, v any) *MVar { return rt.newMVar(full, v) }
 
-// takeFullLocked services a take against a full MVar; caller holds mu
-// in parallel mode. It returns the taken value and the putter whose
+// takeFullLocked services a take against a full MVar; caller holds
+// mu. It returns the taken value and the putter whose
 // deposit was committed by the pop (to be woken after mu is released).
 func (mv *MVar) takeFullLocked() (v any, woke *Thread) {
 	v = mv.val
@@ -98,60 +90,41 @@ func (mv *MVar) takeFullLocked() (v any, woke *Thread) {
 // §5.3 interruptibility rule. Called from the scheduler with the
 // running thread.
 func (rt *RT) takeMVar(t *Thread, mv *MVar) (Node, bool) {
-	par := rt.eng != nil
-	if par {
+	mv.mu.Lock()
+	if !mv.full {
+		mv.mu.Unlock()
+		// Empty: the thread is about to become stuck, so takeMVar is an
+		// interruptible operation — pending exceptions are raised
+		// "right up until the point when it acquires the MVar" (§5.3).
+		// (The pending queue cannot change mid-step, so re-checking
+		// after the unlock gap is unnecessary.)
+		if n, interrupted := t.raisePendingForPark(); interrupted {
+			return n, false
+		}
 		mv.mu.Lock()
 	}
 	if mv.full {
+		// Full — possibly refilled in the unlock gap by another shard.
 		v, woke := mv.takeFullLocked()
-		if par {
-			mv.mu.Unlock()
-		}
+		mv.mu.Unlock()
 		if woke != nil {
 			rt.deliverUnpark(woke, UnitValue)
 		}
 		rt.stats.MVarTakes++
 		return retNode{v}, false
 	}
-	if par {
-		mv.mu.Unlock()
-	}
-	// Empty: the thread is about to become stuck, so takeMVar is an
-	// interruptible operation — pending exceptions are raised "right up
-	// until the point when it acquires the MVar" (§5.3). (The pending
-	// queue cannot change mid-step, so re-checking after the unlock
-	// gap below is unnecessary.)
-	if n, interrupted := t.raisePendingForPark(); interrupted {
-		return n, false
-	}
-	if par {
-		mv.mu.Lock()
-		if mv.full {
-			// Refilled in the unlock gap by another shard: take now.
-			v, woke := mv.takeFullLocked()
-			mv.mu.Unlock()
-			if woke != nil {
-				rt.deliverUnpark(woke, UnitValue)
-			}
-			rt.stats.MVarTakes++
-			return retNode{v}, false
-		}
-	}
 	t.parkSeq++
 	t.status = statusParked
 	t.park = parkInfo{kind: parkTakeMVar, mv: mv}
 	mv.takers = append(mv.takers, t)
-	if par {
-		mv.mu.Unlock()
-	}
+	mv.mu.Unlock()
 	rt.stats.MVarTakeParks++
-	rt.trace(EvPark{Thread: t.id, Reason: "takeMVar", MVar: mv.id})
 	rt.obsPark(t, parkTakeMVar, mv.id)
 	return nil, true
 }
 
 // putEmptyLocked services a put against a non-full MVar; caller holds
-// mu in parallel mode. It returns the taker (if any) whose wakeup the
+// mu. It returns the taker (if any) whose wakeup the
 // pop committed; the taker receives v directly.
 func (mv *MVar) putEmptyLocked(v any) (woke *Thread) {
 	if len(mv.takers) > 0 {
@@ -173,58 +146,40 @@ func (mv *MVar) putEmptyLocked(v any) (woke *Thread) {
 // attempting to acquire is always available). The safe-locking
 // exception handler's putMVar relies on exactly this.
 func (rt *RT) putMVar(t *Thread, mv *MVar, v any) (Node, bool) {
-	par := rt.eng != nil
-	if par {
+	mv.mu.Lock()
+	if mv.full {
+		mv.mu.Unlock()
+		// Full: about to become stuck; interruptible.
+		if n, interrupted := t.raisePendingForPark(); interrupted {
+			return n, false
+		}
 		mv.mu.Lock()
 	}
 	if !mv.full {
+		// Empty — possibly emptied in the unlock gap by another shard.
 		woke := mv.putEmptyLocked(v)
-		if par {
-			mv.mu.Unlock()
-		}
+		mv.mu.Unlock()
 		if woke != nil {
 			rt.deliverUnpark(woke, v)
 		}
 		rt.stats.MVarPuts++
 		return retNode{UnitValue}, false
 	}
-	if par {
-		mv.mu.Unlock()
-	}
-	// Full: about to become stuck; interruptible.
-	if n, interrupted := t.raisePendingForPark(); interrupted {
-		return n, false
-	}
-	if par {
-		mv.mu.Lock()
-		if !mv.full {
-			woke := mv.putEmptyLocked(v)
-			mv.mu.Unlock()
-			if woke != nil {
-				rt.deliverUnpark(woke, v)
-			}
-			rt.stats.MVarPuts++
-			return retNode{UnitValue}, false
-		}
-	}
 	t.parkSeq++
 	t.status = statusParked
 	t.park = parkInfo{kind: parkPutMVar, mv: mv, putVal: v}
 	mv.putters = append(mv.putters, t)
-	if par {
-		mv.mu.Unlock()
-	}
+	mv.mu.Unlock()
 	rt.stats.MVarPutParks++
-	rt.trace(EvPark{Thread: t.id, Reason: "putMVar", MVar: mv.id})
 	rt.obsPark(t, parkPutMVar, mv.id)
 	return nil, true
 }
 
 // deliverUnpark resumes a thread whose MVar/console wakeup this shard
 // just committed: directly when this shard owns it, else as a
-// must-deliver message to the owner. Serial mode resumes directly.
+// must-deliver message to the owner.
 func (rt *RT) deliverUnpark(t *Thread, v any) {
-	if rt.eng == nil || t.owner.Load() == rt {
+	if t.owner.Load() == rt {
 		rt.unparkWithValue(t, v)
 		return
 	}
@@ -233,20 +188,13 @@ func (rt *RT) deliverUnpark(t *Thread, v any) {
 
 // tryTakeMVar is the non-parking variant: (value, true) on success.
 func (rt *RT) tryTakeMVar(mv *MVar) (any, bool) {
-	par := rt.eng != nil
-	if par {
-		mv.mu.Lock()
-	}
+	mv.mu.Lock()
 	if !mv.full {
-		if par {
-			mv.mu.Unlock()
-		}
+		mv.mu.Unlock()
 		return nil, false
 	}
 	v, woke := mv.takeFullLocked()
-	if par {
-		mv.mu.Unlock()
-	}
+	mv.mu.Unlock()
 	if woke != nil {
 		rt.deliverUnpark(woke, UnitValue)
 	}
@@ -257,20 +205,13 @@ func (rt *RT) tryTakeMVar(mv *MVar) (any, bool) {
 // tryPutMVar is the non-parking variant: true when the value was
 // deposited or handed to a waiting taker.
 func (rt *RT) tryPutMVar(mv *MVar, v any) bool {
-	par := rt.eng != nil
-	if par {
-		mv.mu.Lock()
-	}
+	mv.mu.Lock()
 	if mv.full {
-		if par {
-			mv.mu.Unlock()
-		}
+		mv.mu.Unlock()
 		return false
 	}
 	woke := mv.putEmptyLocked(v)
-	if par {
-		mv.mu.Unlock()
-	}
+	mv.mu.Unlock()
 	if woke != nil {
 		rt.deliverUnpark(woke, v)
 	}
@@ -280,9 +221,9 @@ func (rt *RT) tryPutMVar(mv *MVar, v any) bool {
 
 // removeFromMVarQueues detaches an interrupted thread from whatever
 // MVar queue it is parked on, reporting whether it was still there. A
-// false return (parallel mode) means another shard already popped the
-// thread — its wakeup is committed and the interrupt must not unpark
-// it. Caller holds mv.mu in parallel mode.
+// false return means another shard already popped the thread — its
+// wakeup is committed and the interrupt must not unpark it. Caller
+// holds mv.mu.
 func removeFromMVarQueues(t *Thread) bool {
 	mv := t.park.mv
 	if mv == nil {

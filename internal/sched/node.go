@@ -187,8 +187,8 @@ func ForkNamed(m Node, name string) Node {
 // count): the child is created already owned by that shard and enqueued
 // there via a mailbox message instead of the spawner's run queue.
 // Benchmarks and placement-sensitive servers use it to spread threads
-// deterministically instead of waiting for work stealing; in serial
-// mode it is exactly ForkNamed.
+// deterministically instead of waiting for work stealing; with one
+// shard it is ForkNamed.
 func ForkOn(shard int, m Node, name string) Node {
 	return primNode{name: "forkOn", step: func(rt *RT, t *Thread) (Node, bool) {
 		child := rt.spawnOn(shard, m, name, t.mask, t.id)
@@ -347,23 +347,11 @@ func Await(name string, start func(complete func(v any, e exc.Exception)) (cance
 	}}
 }
 
-// publishOwn refreshes this shard's published stats snapshot so a
-// worker-context read (a getStats-family primitive) observes its own
-// current-slice counters. Stats/ShardStats read only published
-// snapshots in parallel mode (they must be callable from any
-// goroutine), so without this a primitive would see its shard's
-// counters as of the previous slice boundary. No-op in serial mode.
-func (rt *RT) publishOwn() {
-	if rt.eng != nil {
-		rt.publishStats()
-	}
-}
-
 // Steps returns the total number of scheduler steps executed so far; a
 // Lift-able introspection hook used by fault-injection tests.
 func Steps() Node {
 	return primNode{name: "steps", step: func(rt *RT, t *Thread) (Node, bool) {
-		rt.publishOwn()
+		rt.publishStats()
 		return retNode{rt.Stats().Steps}, false
 	}}
 }
@@ -390,10 +378,7 @@ func Now() Node {
 // and chaos tests.
 func LiveThreads() Node {
 	return primNode{name: "liveThreads", step: func(rt *RT, t *Thread) (Node, bool) {
-		if rt.eng != nil {
-			return retNode{int(rt.eng.live.Load())}, false
-		}
-		return retNode{len(rt.threads)}, false
+		return retNode{int(rt.eng.live.Load())}, false
 	}}
 }
 
@@ -401,18 +386,17 @@ func LiveThreads() Node {
 // surface runtime observability (e.g. httpd's /stats) from inside IO.
 func GetStats() Node {
 	return primNode{name: "getStats", step: func(rt *RT, t *Thread) (Node, bool) {
-		rt.publishOwn()
+		rt.publishStats()
 		return retNode{rt.Stats()}, false
 	}}
 }
 
-// GetShardStats returns per-shard copies of the scheduler counters —
-// one entry per execution shard in parallel mode, a single entry in
-// serial mode — so servers can surface per-shard observability (e.g.
+// GetShardStats returns per-shard copies of the scheduler counters,
+// one entry per shard, so servers can surface per-shard observability (e.g.
 // httpd's /stats) from inside IO.
 func GetShardStats() Node {
 	return primNode{name: "getShardStats", step: func(rt *RT, t *Thread) (Node, bool) {
-		rt.publishOwn()
+		rt.publishStats()
 		return retNode{rt.ShardStats()}, false
 	}}
 }
@@ -582,12 +566,9 @@ func NoteActorHandle(mailbox string, count uint64, span uint64) Node {
 // combined — as a live load signal (unlike Stats.MailboxDepth, a
 // high-water mark) that admission control can use as a load-shedding
 // watermark. The read is one atomic load per shard (the mailN pending
-// counter), taking no locks. Serial mode reports a single zero entry.
+// counter), taking no locks.
 func MailboxDepths() Node {
 	return primNode{name: "mailboxDepths", step: func(rt *RT, t *Thread) (Node, bool) {
-		if rt.eng == nil {
-			return retNode{[]int{0}}, false
-		}
 		out := make([]int, len(rt.eng.shards))
 		for i, sh := range rt.eng.shards {
 			out[i] = int(sh.mailN.Load())

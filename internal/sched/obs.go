@@ -8,15 +8,15 @@ import (
 // This file wires the obs tracing layer (internal/obs) into the
 // scheduler. Every hook is nil-guarded on rt.olog, so with no
 // Observer configured the cost is one pointer compare and the
-// serial-mode AllocsPerRun ceilings are untouched; with an Observer,
+// AllocsPerRun ceilings are untouched; with an Observer,
 // recording is an atomic sequence stamp plus an append into the
 // shard-owned staging buffer (no locks on the hot path — see
 // obs.ShardLog).
 //
 // The span discipline: every site that places an exception in flight
-// (rt.throwTo and its shard variant, rt.Interrupt, the deadlock
-// detectors) allocates a span id and records a KindThrowTo event with
-// the thrower's mask state; the span and enqueue timestamp travel
+// (rt.throwTo, rt.Interrupt, the deadlock detector) allocates a span
+// id and records a KindThrowTo event with the thrower's mask state;
+// the span and enqueue timestamp travel
 // inside the pendingExc (and across shards inside the msgThrowTo
 // message), so the eventual KindDeliver event can report the pending
 // latency and the same span. Delivery stores the span on the target
@@ -24,19 +24,11 @@ import (
 // finish picks it up — closing the thrower → target → handler chain
 // the exporters render as flow arrows.
 
-// obsAttach connects this shard to the recorder; called once from
-// NewRT (serial / shard 0) and buildEngine (other shards).
+// obsAttach connects this shard to the recorder; called once per
+// shard from buildEngine.
 func (rt *RT) obsAttach(shard int) {
 	if rt.opts.Observer != nil {
 		rt.olog = rt.opts.Observer.ShardLog(shard)
-	}
-}
-
-// obsFlush commits staged events; called at slice boundaries, idle
-// transitions and shutdown (the same cadence as publishStats).
-func (rt *RT) obsFlush() {
-	if rt.olog != nil {
-		rt.olog.Flush()
 	}
 }
 

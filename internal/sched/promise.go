@@ -16,7 +16,7 @@ import (
 // the reader interruptibly at the paper's §5.3 delivery points, just
 // like takeMVar.
 //
-// The parallel-mode protocol mirrors MVar's commit-on-pop discipline:
+// The cross-shard protocol mirrors MVar's commit-on-pop discipline:
 // every state transition happens under p.mu, and popping a waiter from
 // p.waiters COMMITS its wakeup (the settling shard resumes it directly
 // or via a must-deliver msgPromiseWake). An interrupt racing with the
@@ -46,7 +46,7 @@ type Promise struct {
 	id   uint64
 	name string
 
-	mu sync.Mutex // parallel mode only
+	mu sync.Mutex
 
 	state promiseState
 	val   any
@@ -100,14 +100,7 @@ func (p *Promise) String() string {
 // newPromise allocates a promise inside the scheduler. Promise ids
 // share the MVar id counter (both only need uniqueness).
 func (rt *RT) newPromise(name string) *Promise {
-	var id uint64
-	if rt.eng != nil {
-		id = rt.eng.nextMVarID.Add(1)
-	} else {
-		rt.nextMVarID++
-		id = rt.nextMVarID
-	}
-	p := &Promise{id: id, name: name, span: rt.obsNewSpan()}
+	p := &Promise{id: rt.eng.nextMVarID.Add(1), name: name, span: rt.obsNewSpan()}
 	rt.stats.PromisesCreated++
 	return p
 }
@@ -137,16 +130,11 @@ func promiseOutcome(v any, e exc.Exception) Node {
 // pending → resolved (cancelled=false) or pending → cancelled. It
 // reports whether this call won — a promise settles exactly once, and
 // losers observe false. Must run inside the scheduler (any shard; the
-// transition itself is guarded by p.mu in parallel mode).
+// transition itself is guarded by p.mu).
 func (rt *RT) settlePromise(p *Promise, v any, e exc.Exception, cancelled bool) bool {
-	par := rt.eng != nil
-	if par {
-		p.mu.Lock()
-	}
+	p.mu.Lock()
 	if p.state != promisePending {
-		if par {
-			p.mu.Unlock()
-		}
+		p.mu.Unlock()
 		return false
 	}
 	if cancelled {
@@ -172,9 +160,7 @@ func (rt *RT) settlePromise(p *Promise, v any, e exc.Exception, cancelled bool) 
 		p.producer = 0
 		p.extraProducers = nil
 	}
-	if par {
-		p.mu.Unlock()
-	}
+	p.mu.Unlock()
 	// The resolve event is recorded before any waiter wakes, so every
 	// KindAwait's sequence number lands after its KindPromiseResolve.
 	rt.obsPromiseResolve(p, re, cancelled)
@@ -213,15 +199,10 @@ func (rt *RT) SettlePromise(p *Promise, v any, e exc.Exception, cancelled bool) 
 // committed (it was popped from p.waiters under p.mu): directly when
 // this shard owns it, else as a must-deliver msgPromiseWake.
 func (rt *RT) deliverPromiseWake(w *Thread, p *Promise, v any, e exc.Exception, cancelled bool) {
-	if rt.eng == nil || w.owner.Load() == rt {
+	if w.owner.Load() == rt {
 		rt.obsAwait(w.id, uint8(w.mask), p.span, p.id, cancelled)
 		rt.stats.Awaits++
-		rt.obsUnpark(w)
-		w.status = statusRunnable
-		w.park = parkInfo{}
-		w.cur = promiseOutcome(v, e)
-		rt.enqueue(w)
-		rt.trace(EvUnpark{Thread: w.id})
+		rt.resume(w, promiseOutcome(v, e))
 		return
 	}
 	rt.eng.send(w.owner.Load(), shardMsg{kind: msgPromiseWake, t: w, v: v, e: e, seq: p.id, span: p.span, cancelled: cancelled})
@@ -275,31 +256,13 @@ func (rt *RT) throwToAsync(from *Thread, tid ThreadID, e exc.Exception) {
 // reaping from inside a settlement, where no thread is "the thrower").
 func (rt *RT) throwToAsyncFrom(fromID ThreadID, fromMask uint8, tid ThreadID, e exc.Exception) {
 	rt.stats.ThrowTos++
-	if rt.eng != nil {
-		target := rt.eng.lookup(tid)
-		if target == nil {
-			rt.stats.ThrowToDead++
-			return
-		}
-		span, enqNS := rt.obsEnqueue(tid, fromID, e, fromMask, 0)
-		p := pendingExc{e: e, span: span, enqNS: enqNS}
-		if target.owner.Load() == rt && rt.deliverLocal(target, p) {
-			return
-		}
-		rt.eng.send(target.owner.Load(), shardMsg{kind: msgThrowTo, t: target, e: e, span: span, enqNS: enqNS})
-		return
-	}
-	target := rt.threads[tid]
-	if target == nil || target.status == statusDone {
+	target := rt.eng.lookup(tid)
+	if target == nil {
 		rt.stats.ThrowToDead++
 		return
 	}
 	span, enqNS := rt.obsEnqueue(tid, fromID, e, fromMask, 0)
-	if target.status == statusParked && target.mask.Interruptible() {
-		rt.interruptStuck(target, pendingExc{e: e, span: span, enqNS: enqNS}, false)
-		return
-	}
-	target.pending = append(target.pending, pendingExc{e: e, span: span, enqNS: enqNS})
+	rt.routeExc(target, pendingExc{e: e, span: span, enqNS: enqNS})
 }
 
 // BindPromiseProducer registers tid as p's producer so a later
@@ -308,15 +271,10 @@ func (rt *RT) throwToAsyncFrom(fromID ThreadID, fromMask uint8, tid ThreadID, e 
 // immediately.
 func BindPromiseProducer(p *Promise, tid ThreadID) Node {
 	return primNode{name: "bindProducer", step: func(rt *RT, t *Thread) (Node, bool) {
-		par := rt.eng != nil
-		if par {
-			p.mu.Lock()
-		}
+		p.mu.Lock()
 		p.producer = tid
 		already := p.state == promiseCancelled
-		if par {
-			p.mu.Unlock()
-		}
+		p.mu.Unlock()
 		if already && tid != t.id {
 			rt.throwToAsync(t, tid, exc.PromiseCancelled{})
 		}
@@ -405,51 +363,35 @@ func (rt *RT) awaitPromise(t *Thread, p *Promise) (Node, bool) {
 // leak. It is stored in the park record and invoked by detachParked
 // after a successful removal.
 func (rt *RT) awaitPromiseCancel(t *Thread, p *Promise, cancel func()) (Node, bool) {
-	par := rt.eng != nil
-	if par {
+	p.mu.Lock()
+	if p.state == promisePending {
+		p.mu.Unlock()
+		// Pending: the thread is about to become stuck, so await is an
+		// interruptible operation (§5.3). Abandoning the await here is
+		// the same teardown as an interrupt while parked: the cancel
+		// hook runs.
+		if n, interrupted := t.raisePendingForPark(); interrupted {
+			if cancel != nil {
+				cancel()
+			}
+			return n, false
+		}
 		p.mu.Lock()
 	}
 	if p.state != promisePending {
+		// Settled — possibly in the unlock gap by another shard.
 		v, e, cancelled := p.val, p.exc, p.state == promiseCancelled
-		if par {
-			p.mu.Unlock()
-		}
+		p.mu.Unlock()
 		rt.obsAwait(t.id, uint8(t.mask), p.span, p.id, cancelled)
 		rt.stats.Awaits++
 		return promiseOutcome(v, e), false
-	}
-	if par {
-		p.mu.Unlock()
-	}
-	// Pending: the thread is about to become stuck, so await is an
-	// interruptible operation (§5.3). Abandoning the await here is the
-	// same teardown as an interrupt while parked: the cancel hook runs.
-	if n, interrupted := t.raisePendingForPark(); interrupted {
-		if cancel != nil {
-			cancel()
-		}
-		return n, false
-	}
-	if par {
-		p.mu.Lock()
-		if p.state != promisePending {
-			// Settled in the unlock gap by another shard: take now.
-			v, e, cancelled := p.val, p.exc, p.state == promiseCancelled
-			p.mu.Unlock()
-			rt.obsAwait(t.id, uint8(t.mask), p.span, p.id, cancelled)
-			rt.stats.Awaits++
-			return promiseOutcome(v, e), false
-		}
 	}
 	t.parkSeq++
 	t.status = statusParked
 	t.park = parkInfo{kind: parkPromise, pr: p, cancel: cancel}
 	p.waiters = append(p.waiters, t)
-	if par {
-		p.mu.Unlock()
-	}
+	p.mu.Unlock()
 	rt.stats.AwaitParks++
-	rt.trace(EvPark{Thread: t.id, Reason: "promise"})
 	rt.obsPark(t, parkPromise, p.id)
 	return nil, true
 }
@@ -459,14 +401,9 @@ func (rt *RT) awaitPromiseCancel(t *Thread, p *Promise, cancel func()) (Node, bo
 // false while pending.
 func TryAwaitPromise(p *Promise) Node {
 	return primNode{name: "tryAwait", step: func(rt *RT, t *Thread) (Node, bool) {
-		par := rt.eng != nil
-		if par {
-			p.mu.Lock()
-		}
+		p.mu.Lock()
 		st, v, e := p.state, p.val, p.exc
-		if par {
-			p.mu.Unlock()
-		}
+		p.mu.Unlock()
 		if st == promisePending {
 			return retNode{TryResult{}}, false
 		}
@@ -486,21 +423,14 @@ func TryAwaitPromise(p *Promise) Node {
 // promises is the intended use).
 func ChainPromise(p *Promise, fn func(rt *RT, v any, e exc.Exception, cancelled bool)) Node {
 	return primNode{name: "chainPromise", step: func(rt *RT, t *Thread) (Node, bool) {
-		par := rt.eng != nil
-		if par {
-			p.mu.Lock()
-		}
+		p.mu.Lock()
 		if p.state == promisePending {
 			p.chains = append(p.chains, fn)
-			if par {
-				p.mu.Unlock()
-			}
+			p.mu.Unlock()
 			return retNode{UnitValue}, false
 		}
 		v, e, cancelled := p.val, p.exc, p.state == promiseCancelled
-		if par {
-			p.mu.Unlock()
-		}
+		p.mu.Unlock()
 		fn(rt, v, e, cancelled)
 		return retNode{UnitValue}, false
 	}}
@@ -521,20 +451,12 @@ func ChainPromise(p *Promise, fn func(rt *RT, v any, e exc.Exception, cancelled 
 func LaunchPromise(name string, start func(complete func(v any, e exc.Exception)) (cancel func()), dropped func(v any, e exc.Exception)) Node {
 	return primNode{name: name, step: func(rt *RT, t *Thread) (Node, bool) {
 		p := rt.newPromise(name)
-		if e := rt.eng; e != nil {
-			e.outstandingIO.Add(1)
-		} else {
-			rt.outstandingIO++
-		}
+		rt.eng.outstandingIO.Add(1)
 		var once sync.Once
 		complete := func(v any, ex exc.Exception) {
 			once.Do(func() {
 				rt.External(func(rt *RT) {
-					if e := rt.eng; e != nil {
-						e.outstandingIO.Add(-1)
-					} else {
-						rt.outstandingIO--
-					}
+					rt.eng.outstandingIO.Add(-1)
 					if !rt.settlePromise(p, v, ex, false) && dropped != nil {
 						dropped(v, ex)
 					}
@@ -543,17 +465,11 @@ func LaunchPromise(name string, start func(complete func(v any, e exc.Exception)
 		}
 		cancel := start(complete)
 		if cancel != nil {
-			par := rt.eng != nil
-			if par {
-				p.mu.Lock()
-			}
-			pending := p.state == promisePending
-			if pending {
+			p.mu.Lock()
+			if p.state == promisePending {
 				p.onCancel = cancel
 			}
-			if par {
-				p.mu.Unlock()
-			}
+			p.mu.Unlock()
 			// Settled before the hook landed: the completion beat us
 			// (cancellation is impossible — p was not yet visible).
 		}

@@ -3,9 +3,8 @@ package sched
 // ringQ is the run queue: a growable circular buffer of threads with
 // O(1) push/pop at both ends and O(1) indexed access. It replaces the
 // earlier nil-holding slice that had to be compacted periodically —
-// the ring never leaves holes, so the serial scheduler's pop is
-// branch-free and the sharded scheduler can steal from the tail while
-// the owner pops the head.
+// the ring never leaves holes, so the owner's pop is branch-free and a
+// thief can steal from the tail while the owner pops the head.
 //
 // The zero value is an empty queue.
 type ringQ struct {

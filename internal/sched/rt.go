@@ -48,14 +48,12 @@ type Options struct {
 	Stdout io.Writer
 	// Stdin provides initial console input.
 	Stdin string
-	// Tracer receives scheduler events when non-nil.
-	Tracer func(Event)
 	// Observer, when non-nil, records fixed-shape obs.Events at the
 	// paper's delivery points (spawn, throwTo enqueue/deliver, catch,
 	// park/unpark, steal, ...) into per-shard ring buffers; see
-	// internal/obs and docs/OBSERVABILITY.md. Unlike Tracer it is
-	// designed for production use: the hot path takes no locks and
-	// allocates nothing.
+	// internal/obs and docs/OBSERVABILITY.md. It is designed for
+	// production use: the hot path takes no locks and allocates
+	// nothing.
 	Observer *obs.Recorder
 	// DisableFrameCancellation turns off the §8.1 adjacent-frame
 	// cancellation (ablation switch for experiment E7).
@@ -63,19 +61,21 @@ type Options struct {
 	// ExternalEvents sizes the external completion queue (I/O manager,
 	// input injection). Default 1024.
 	ExternalEvents int
-	// Shards selects the parallel execution engine: the runtime is
-	// sharded across this many worker goroutines with per-shard run
-	// queues, timer heaps and mailboxes, plus work stealing (see
-	// shard.go and docs/PARALLEL.md). 0 or 1 keeps the deterministic
-	// single-goroutine interpreter, which remains the default and the
-	// mode the machine/conformance suites check against.
+	// Shards is the number of shards the engine runs on: worker
+	// goroutines with per-shard run queues, timer heaps and mailboxes,
+	// plus work stealing (see shard.go and docs/PARALLEL.md). 0 or 1
+	// (the default) is the engine with one shard, run on the goroutine
+	// that calls RunMain: nothing can be stolen and no sibling exists,
+	// so under the virtual clock the run is deterministic — the mode
+	// the machine/conformance suites check against.
 	Shards int
 	// Sim, when non-nil, routes every nondeterministic scheduling
 	// decision through the deterministic-simulation seam (see sim.go,
 	// internal/sim and docs/SIMULATION.md): decisions are observed
-	// (recording) or forced (replay), and with Shards > 1 the workers
-	// are replaced by a single-goroutine cooperative driver so the
-	// whole interleaving is deterministic. Requires the virtual clock.
+	// (recording) or forced (replay), and the shards are stepped by a
+	// single-goroutine cooperative driver instead of worker goroutines
+	// so the whole interleaving is deterministic. Requires the virtual
+	// clock.
 	Sim SimSource
 
 	// mailboxCap overrides the capacity of the per-shard cross-shard
@@ -102,11 +102,15 @@ var (
 	ErrDeadlock = errors.New("sched: all threads blocked and no external events possible")
 )
 
-// RT is a runtime instance: a collection of threads and MVars evolving
-// by transitions (Figure 2's program state, plus the scheduling
-// machinery of §8). An RT is single-threaded: all state is owned by the
-// goroutine that calls RunMain; external goroutines communicate only
-// through External.
+// RT is one shard of a runtime: a run queue, a timer heap, a mailbox
+// and the per-shard interpreter state, stepped by one goroutine at a
+// time. Together the shards of an engine hold Figure 2's program state
+// (threads and MVars evolving by transitions) plus the scheduling
+// machinery of §8. The RT that NewRT returns is shard 0, which also
+// receives the external-event queue; everything shared between shards
+// lives in the engine (shard.go). Shard-private state is owned by the
+// goroutine stepping the shard; other goroutines communicate only
+// through External and the mailbox.
 type RT struct {
 	opts Options
 
@@ -116,23 +120,14 @@ type RT struct {
 	simPick    bool
 	simPerturb bool
 
-	nextTID      ThreadID
-	nextMVarID   uint64
-	nextTimerSeq uint64
-	nextAwaitID  uint64
-
-	threads map[ThreadID]*Thread
-	runq    ringQ
-
+	runq   ringQ
 	timers timerHeap
-	now    int64
 
 	console *console
 
 	rng *rand.Rand
 
-	events        chan extEvent
-	outstandingIO int
+	events chan extEvent
 
 	// simExt holds externals drained from events but not yet applied:
 	// under simulation their application order is a recorded decision
@@ -146,9 +141,6 @@ type RT struct {
 	// olog is this shard's obs event log (nil when no Observer).
 	olog *obs.ShardLog
 
-	mainThread *Thread
-	realEpoch  time.Time
-
 	// Hot-path free lists (owned by the shard goroutine, like all other
 	// per-RT state): recycled bind/catch frames and thread stack
 	// segments.
@@ -160,10 +152,19 @@ type RT struct {
 	// still runnable and the run queue empty, the thread is carried
 	// here to the next slice instead of round-tripping through the
 	// queue. Order-identical to the queue path (an empty queue would
-	// push and immediately pop the same thread); in serial mode the
-	// bypass is disabled under RandomSched so seeded schedules consume
-	// exactly the same random choices as before.
+	// push and immediately pop the same thread).
 	kept *Thread
+
+	// stealCands is steal's reusable scratch list of victim shards.
+	stealCands []int
+
+	// iter counts scheduler turns; stats publication and the real-clock
+	// resync are amortized over it.
+	iter uint
+
+	// fuelSeen is the engine-wide step count as of this shard's last
+	// charge against Options.MaxSteps (see runSlice).
+	fuelSeen uint64
 
 	// extN counts external events sitting in the events channel
 	// (incremented by External before the send, decremented by the
@@ -171,9 +172,8 @@ type RT struct {
 	// atomic instead of a channel select per iteration.
 	extN atomic.Int64
 
-	// Parallel-engine fields; nil/zero in serial mode. smu guards the
-	// run queue, timer heap, overflow mailbox and statsSnap when
-	// eng != nil.
+	// smu guards the run queue, timer heap, overflow mailbox and
+	// statsSnap.
 	eng     *engine
 	shardID int
 	smu     sync.Mutex
@@ -212,7 +212,7 @@ type RT struct {
 	// timerN counts entries in this shard's timer heap so the clock
 	// path skips the heap lock when no timers exist.
 	timerN atomic.Int64
-	// idleTimer is idleShard's reusable poll timer.
+	// idleTimer is idleShard's reusable timer.
 	idleTimer *time.Timer
 	wakeCh    chan struct{}
 	statsSnap Stats
@@ -220,7 +220,7 @@ type RT struct {
 
 // NewRT creates a runtime with the given options (zero value = paper
 // defaults: preemptive 50-step slices, virtual clock, asynchronous
-// throwTo, deadlock detection on).
+// throwTo, deadlock detection on, one shard).
 func NewRT(opts Options) *RT {
 	if opts.TimeSlice <= 0 {
 		opts.TimeSlice = 50
@@ -228,19 +228,17 @@ func NewRT(opts Options) *RT {
 	if opts.ExternalEvents <= 0 {
 		opts.ExternalEvents = 1024
 	}
+	if opts.Shards < 1 {
+		opts.Shards = 1
+	}
 	rt := &RT{
-		opts:    opts,
-		threads: make(map[ThreadID]*Thread),
-		events:  make(chan extEvent, opts.ExternalEvents),
-		rng:     rand.New(rand.NewSource(opts.Seed)),
+		opts:   opts,
+		events: make(chan extEvent, opts.ExternalEvents),
+		rng:    rand.New(rand.NewSource(opts.Seed)),
 	}
 	rt.bindSimCaps()
-	rt.console = &console{rt: rt, in: []rune(opts.Stdin), mirror: opts.Stdout}
-	if opts.Shards > 1 {
-		rt.buildEngine()
-	} else {
-		rt.obsAttach(0)
-	}
+	rt.console = &console{in: []rune(opts.Stdin), mirror: opts.Stdout}
+	rt.buildEngine()
 	return rt
 }
 
@@ -250,12 +248,9 @@ func DefaultOptions() Options {
 	return Options{TimeSlice: 50, DetectDeadlock: true}
 }
 
-// Stats returns a copy of the runtime's counters. In parallel mode the
-// per-shard counters are aggregated (see also ShardStats).
+// Stats returns a copy of the runtime's counters, aggregated over the
+// shards (see also ShardStats).
 func (rt *RT) Stats() Stats {
-	if rt.eng == nil {
-		return rt.stats
-	}
 	var sum Stats
 	for _, s := range rt.ShardStats() {
 		sum.Add(s)
@@ -266,31 +261,15 @@ func (rt *RT) Stats() Stats {
 // Now returns the current runtime clock in nanoseconds.
 func (rt *RT) Now() int64 { return rt.nowNS() }
 
-// nowNS reads the runtime clock: per-RT in serial mode, the shared
-// engine clock in parallel mode.
-func (rt *RT) nowNS() int64 {
-	if rt.eng != nil {
-		return rt.eng.now.Load()
-	}
-	return rt.now
-}
+// nowNS reads the engine clock.
+func (rt *RT) nowNS() int64 { return rt.eng.now.Load() }
 
 // Thread returns the thread with the given id, or nil if it has
 // finished (finished threads are garbage collected, rule Proc GC).
-func (rt *RT) Thread(id ThreadID) *Thread {
-	if rt.eng != nil {
-		return rt.eng.lookup(id)
-	}
-	return rt.threads[id]
-}
+func (rt *RT) Thread(id ThreadID) *Thread { return rt.eng.lookup(id) }
 
 // MainThread returns the main thread (valid during and after RunMain).
-func (rt *RT) MainThread() *Thread {
-	if rt.eng != nil {
-		return rt.eng.mainThread
-	}
-	return rt.mainThread
-}
+func (rt *RT) MainThread() *Thread { return rt.eng.mainThread }
 
 // extEvent is one queued external callback. The label identifies the
 // event source for the deterministic-simulation log (0 = unlabeled):
@@ -301,11 +280,11 @@ type extEvent struct {
 	f     func(*RT)
 }
 
-// External schedules f to run inside the scheduler loop. It is the
-// only safe way for other goroutines (I/O manager completions, signal
-// handlers, test drivers) to touch runtime state. It never blocks the
-// scheduler; it may block the caller when the queue is full. In
-// parallel mode the callback runs on shard 0.
+// External schedules f to run inside the scheduler loop, on shard 0.
+// It is the only safe way for other goroutines (I/O manager
+// completions, signal handlers, test drivers) to touch runtime state.
+// It never blocks the scheduler; it may block the caller when the
+// queue is full.
 func (rt *RT) External(f func(*RT)) {
 	rt.ExternalLabeled(0, f)
 }
@@ -315,19 +294,14 @@ func (rt *RT) External(f func(*RT)) {
 // dispatch labels injects by peer and sequence number so replay can
 // match arrival orders across runs.
 func (rt *RT) ExternalLabeled(label uint64, f func(*RT)) {
-	ev := extEvent{label: label, f: f}
-	if e := rt.eng; e != nil {
-		s0 := e.shards[0]
-		e.msgs.Add(1)
-		s0.extN.Add(1)
-		s0.events <- ev
-		if s0.idling.Load() {
-			s0.wake()
-		}
-		return
+	e := rt.eng
+	s0 := e.shards[0]
+	e.msgs.Add(1)
+	s0.extN.Add(1)
+	s0.events <- extEvent{label: label, f: f}
+	if s0.idling.Load() {
+		s0.wake()
 	}
-	rt.extN.Add(1)
-	rt.events <- ev
 }
 
 // Spawn creates an unmasked thread running m with no parent and
@@ -353,41 +327,28 @@ func (rt *RT) spawn(m Node, name string, mask MaskState, parent ThreadID) *Threa
 // concurrently-running siblings — depend on (promise producer
 // registration, say) do so between newThread and publish.
 func (rt *RT) newThread(m Node, name string, mask MaskState) *Thread {
-	var id ThreadID
-	if rt.eng != nil {
-		id = ThreadID(rt.eng.nextTID.Add(1))
-	} else {
-		rt.nextTID++
-		id = rt.nextTID
-	}
+	id := ThreadID(rt.eng.nextTID.Add(1))
 	return &Thread{id: id, name: name, rt: rt, cur: m, mask: mask, status: statusRunnable, stack: rt.getStack()}
 }
 
-// publish makes a constructed thread visible and runnable.
+// publish makes a constructed thread visible and runnable. The spawn
+// event is recorded first: once enqueued the thread can be stolen and
+// run, and obsSpawn reads its mask.
 func (rt *RT) publish(t *Thread, parent ThreadID) {
-	if rt.eng != nil {
-		t.owner.Store(rt)
-		rt.eng.table.put(t)
-		rt.eng.live.Add(1)
-	} else {
-		rt.threads[t.id] = t
-	}
-	rt.enqueue(t)
+	t.owner.Store(rt)
+	rt.eng.table.put(t)
+	rt.eng.live.Add(1)
 	rt.stats.Forks++
 	rt.obsSpawn(t, parent)
+	rt.enqueue(t)
 }
 
 // spawnOn is spawn with explicit shard placement: the child is created
 // already owned by the target shard and travels there as a msgAdopt
 // mailbox message, so it never touches the spawner's run queue and
-// cannot run (or be stolen) before its owner enqueues it. Serial mode,
-// and a target that resolves to the spawner's own shard, fall back to
-// plain spawn.
+// cannot run (or be stolen) before its owner enqueues it.
 func (rt *RT) spawnOn(shard int, m Node, name string, mask MaskState, parent ThreadID) *Thread {
 	e := rt.eng
-	if e == nil {
-		return rt.spawn(m, name, mask, parent)
-	}
 	n := len(e.shards)
 	to := e.shards[((shard%n)+n)%n]
 	t := &Thread{id: ThreadID(e.nextTID.Add(1)), name: name, rt: to, cur: m, mask: mask, status: statusRunnable, stack: rt.getStack(), pinned: true}
@@ -404,125 +365,95 @@ func (rt *RT) spawnOn(shard int, m Node, name string, mask MaskState, parent Thr
 	return t
 }
 
-func (rt *RT) enqueue(t *Thread) {
-	if rt.eng != nil {
-		rt.enqueueShard(t)
-		return
-	}
-	rt.runq.pushBack(t)
-}
-
-// nextRunnable pops the next thread to run, or nil when the run queue
-// is empty. Round-robin by default; random with Options.RandomSched
-// (the fair shuffle: a uniformly chosen queued thread is swapped to the
-// front and popped).
-func (rt *RT) nextRunnable() *Thread {
-	if s := rt.opts.Sim; s != nil {
-		return rt.nextRunnableSim(s)
-	}
-	for rt.runq.Len() > 0 {
-		if rt.opts.RandomSched {
-			rt.runq.swap(0, rt.rng.Intn(rt.runq.Len()))
-		}
-		t := rt.runq.popFront()
-		if t.status == statusRunnable {
-			return t
-		}
-	}
-	return nil
-}
-
 // RunMain runs main as the main thread until it finishes (rule Proc
 // GC: when the main thread is done, all other threads die), the step
-// budget runs out, or an undetectable deadlock occurs.
+// budget runs out, or an undetectable deadlock occurs. Shard 0 runs on
+// the calling goroutine, every further shard on a goroutine of its
+// own; under Options.Sim the cooperative driver steps them all from
+// the calling goroutine instead (sim.go).
 func (rt *RT) RunMain(main Node) (Result, error) {
-	if rt.mainThread != nil {
+	e := rt.eng
+	if e.mainThread != nil {
 		return Result{}, errors.New("sched: RunMain called twice on one RT")
 	}
-	if rt.opts.Shards > 1 {
-		return rt.runParallel(main)
-	}
-	if rt.opts.Sim != nil && rt.opts.Clock == RealClock {
-		return Result{}, errSimRealClock
-	}
-	rt.realEpoch = time.Now()
-	rt.mainThread = rt.spawn(main, "main", Unmasked, 0)
-	for {
-		rt.obsFlush()
-		if rt.opts.Sim != nil {
-			rt.drainExternalSim(rt.opts.Sim)
-		} else {
-			rt.drainExternal()
+	if e.opts.Sim != nil {
+		if e.opts.Clock == RealClock {
+			return Result{}, errSimRealClock
 		}
-		if rt.opts.Clock == RealClock {
-			rt.syncRealClock()
-		}
-		if rt.mainThread.status == statusDone {
-			// Rule (Proc GC): once the main thread is finished, all
-			// other threads die.
-			for id := range rt.threads {
-				delete(rt.threads, id)
-			}
-			rt.obsFlush()
-			rt.simObserve(SimEvent{Kind: SimEnd, B: rt.stats.Steps})
-			return Result{Value: rt.mainThread.doneVal, Exc: rt.mainThread.doneExc}, nil
-		}
-		t := rt.kept
-		if t != nil {
-			rt.kept = nil
-		} else {
-			t = rt.nextRunnable()
-		}
-		if t == nil {
-			if err := rt.idle(); err != nil {
-				rt.obsFlush()
-				return Result{}, err
-			}
-			continue
-		}
-		if err := rt.runSlice(t); err != nil {
-			rt.obsFlush()
-			return Result{}, err
+		if len(e.shards) > 32 {
+			return Result{}, errors.New("sched: simulation mode supports at most 32 shards")
 		}
 	}
+	e.realEpoch = time.Now()
+	e.mainThread = rt.spawn(main, "main", Unmasked, 0)
+	if e.opts.Sim != nil {
+		rt.runSimulated()
+	} else {
+		var wg sync.WaitGroup
+		for _, s := range e.shards[1:] {
+			wg.Add(1)
+			go func(s *RT) {
+				defer wg.Done()
+				s.workerLoop()
+			}(s)
+		}
+		rt.workerLoop()
+		wg.Wait()
+	}
+	// Rule (Proc GC): once the main thread is finished, all other
+	// threads die.
+	e.table.clear()
+	if e.runErr != nil {
+		return Result{}, e.runErr
+	}
+	return e.result, nil
 }
 
 // runSlice runs t for up to one time slice. The fuel check is hoisted
-// out of the step loop: the slice is capped to the remaining budget up
-// front, and a thread that attempts a slice with the budget already
-// spent fails — the same observable behavior as the old per-step
-// check, without two extra loads per step.
-func (rt *RT) runSlice(t *Thread) error {
+// out of the step loop: the slice is capped up front to what remains of
+// the engine-wide budget as this shard last saw it, and a thread that
+// attempts a slice with the budget spent fails the run. With one shard
+// that view is exact, so Stats().Steps <= MaxSteps; siblings learn of
+// each other's steps only when they charge their own, so together they
+// may overshoot by up to a slice each.
+func (rt *RT) runSlice(t *Thread) {
+	e := rt.eng
 	t.sliceLeft = rt.opts.TimeSlice
-	if max := rt.opts.MaxSteps; max > 0 {
-		if rt.stats.Steps >= max {
-			return ErrFuelExhausted
+	max := e.opts.MaxSteps
+	if max > 0 {
+		if rt.fuelSeen >= max {
+			e.fail(ErrFuelExhausted)
+			return
 		}
-		if left := max - rt.stats.Steps; uint64(t.sliceLeft) > left {
+		if left := max - rt.fuelSeen; uint64(t.sliceLeft) > left {
 			t.sliceLeft = int(left)
 		}
 	}
+	before := rt.stats.Steps
 	for t.sliceLeft > 0 && t.status == statusRunnable {
 		t.sliceLeft--
 		rt.step(t)
 	}
+	if max > 0 {
+		rt.fuelSeen = e.steps.Add(rt.stats.Steps - before)
+	}
 	if t.status == statusRunnable {
 		rt.stats.Preemptions++
-		if rt.runq.Len() == 0 && !rt.opts.RandomSched {
-			// Run-queue bypass: a sole runnable thread skips the
-			// enqueue/pop round trip (identical order: an empty queue
-			// would hand the same thread straight back). RandomSched is
-			// excluded so seeded runs draw exactly the same random
-			// numbers as the queue path; under simulation that also
-			// keeps the bypass safe — round-robin picks emit no
-			// decision events, so the recorded stream is identical
-			// with or without it.
+		if rt.qlen.Load() == 0 && !rt.opts.RandomSched {
+			// Run-queue bypass: the shard's sole runnable thread stays
+			// in hand for the next slice instead of round-tripping
+			// through the locked queue. It remains the shard's thread
+			// for delivery purposes (deliverLocal checks owner and
+			// status, not queue membership), and the shard never idles
+			// while holding it, so quiescence still implies no kept
+			// threads anywhere. Disabled under RandomSched: the bypass
+			// skips popLocal's rng draw, which would shift the seeded
+			// random-schedule stream that chaos tests replay.
 			rt.kept = t
 		} else {
 			rt.enqueue(t)
 		}
 	}
-	return nil
 }
 
 // step executes one transition of thread t. This function is the
@@ -586,9 +517,6 @@ func (rt *RT) step(t *Thread) {
 	}
 
 	rt.stats.Steps++
-	if rt.opts.Tracer != nil {
-		rt.trace(EvStep{Thread: t.id, Kind: t.cur.nodeKind(), StepNo: rt.stats.Steps})
-	}
 
 	switch n := t.cur.(type) {
 	case retNode:
@@ -705,16 +633,11 @@ func (rt *RT) finish(t *Thread, v any, e exc.Exception) {
 	}
 	t.sigHandlers = nil
 	rt.obsFinish(t, e)
-	if rt.eng != nil {
-		rt.eng.table.del(t.id)
-		rt.eng.live.Add(-1)
-		if t == rt.eng.mainThread {
-			rt.eng.finishMain(Result{Value: v, Exc: e})
-		}
-	} else {
-		delete(rt.threads, t.id)
+	rt.eng.table.del(t.id)
+	rt.eng.live.Add(-1)
+	if t == rt.eng.mainThread {
+		rt.eng.finishMain(Result{Value: v, Exc: e})
 	}
-	rt.trace(EvFinish{Thread: t.id, Exc: e})
 }
 
 // unparkWithValue makes a parked thread runnable again, resuming with
@@ -726,41 +649,39 @@ func (rt *RT) unparkWithValue(t *Thread, v any) {
 		// stays parked forever. Seeded bug for the mutation suite.
 		return
 	}
+	rt.resume(t, retNode{v})
+}
+
+// resume makes a parked thread runnable again with continuation cur.
+func (rt *RT) resume(t *Thread, cur Node) {
 	rt.obsUnpark(t)
 	t.status = statusRunnable
 	t.park = parkInfo{}
-	t.cur = retNode{v}
+	t.cur = cur
 	rt.enqueue(t)
-	rt.trace(EvUnpark{Thread: t.id})
 }
 
 // detachParked removes a parked thread from whatever wait queue holds
-// it, returning false when — parallel mode only — a committed handoff
-// from another shard got there first (the thread was already popped
-// from the MVar/console queue and its wakeup message is in flight). In
-// serial mode it always succeeds.
+// it, returning false when a committed handoff from another shard got
+// there first (the thread was already popped from the MVar/console
+// queue and its wakeup message is in flight).
 func (rt *RT) detachParked(t *Thread) bool {
-	par := rt.eng != nil
 	switch t.park.kind {
 	case parkTakeMVar, parkPutMVar:
 		mv := t.park.mv
 		if mv == nil {
 			return true
 		}
-		if par {
-			mv.mu.Lock()
-			defer mv.mu.Unlock()
-		}
+		mv.mu.Lock()
+		defer mv.mu.Unlock()
 		return removeFromMVarQueues(t)
 	case parkGetChar:
 		c := rt.console
-		if par {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
 		before := len(c.readers)
 		c.readers = removeThread(c.readers, t)
-		return len(c.readers) < before || !par
+		return len(c.readers) < before
 	case parkSleep:
 		// The heap entry goes stale: its live flag is cleared and the
 		// entry is skipped when it surfaces (lazy deletion).
@@ -786,15 +707,11 @@ func (rt *RT) detachParked(t *Thread) bool {
 		if p == nil {
 			return true
 		}
-		if par {
-			p.mu.Lock()
-		}
+		p.mu.Lock()
 		before := len(p.waiters)
 		p.waiters = removeThread(p.waiters, t)
-		ok := len(p.waiters) < before || !par
-		if par {
-			p.mu.Unlock()
-		}
+		ok := len(p.waiters) < before
+		p.mu.Unlock()
 		if ok && t.park.cancel != nil {
 			t.park.cancel()
 		}
@@ -806,17 +723,15 @@ func (rt *RT) detachParked(t *Thread) bool {
 		if tgt == nil {
 			return true
 		}
-		if par {
-			if own := tgt.owner.Load(); own != rt {
-				rt.eng.send(own, shardMsg{kind: msgWithdraw, t: tgt, waiter: t})
-				return true
-			}
-			// Local target: the withdraw mutates its pending queue, so
-			// hold the shard lock against a concurrent steal of a
-			// runnable target.
-			rt.smu.Lock()
-			defer rt.smu.Unlock()
+		if own := tgt.owner.Load(); own != rt {
+			rt.eng.send(own, shardMsg{kind: msgWithdraw, t: tgt, waiter: t})
+			return true
 		}
+		// Local target: the withdraw mutates its pending queue, so hold
+		// the shard lock against a concurrent steal of a runnable
+		// target.
+		rt.smu.Lock()
+		defer rt.smu.Unlock()
 		for i, p := range tgt.pending {
 			if p.waiter == t {
 				copy(tgt.pending[i:], tgt.pending[i+1:])
@@ -833,7 +748,7 @@ func (rt *RT) detachParked(t *Thread) bool {
 // interruptStuck implements rule (Interrupt): a stuck thread is woken
 // with the exception raised at its evaluation site, in any mask
 // context. The caller has checked interruptibility. It returns false
-// when (parallel only) a committed wakeup won the race — then p joins
+// when a committed wakeup won the race — then p joins
 // the pending queue instead and is raised at the thread's next
 // delivery point, which is §5.3's semantics once the MVar has been
 // acquired. wakeWaiterOnDeliver wakes p's §9 synchronous thrower on
@@ -854,7 +769,6 @@ func (rt *RT) interruptStuck(t *Thread, p pendingExc, wakeWaiterOnDeliver bool) 
 	t.cur = throwNode{p.e}
 	rt.enqueue(t)
 	rt.stats.Interrupts++
-	rt.trace(EvUnpark{Thread: t.id})
 	return true
 }
 
@@ -867,11 +781,9 @@ func (rt *RT) wakeWaiter(p pendingExc) {
 	if w == nil {
 		return
 	}
-	if rt.eng != nil {
-		if own := w.owner.Load(); own != rt {
-			rt.eng.send(own, shardMsg{kind: msgWakeWaiter, t: w, seq: p.waiterSeq})
-			return
-		}
+	if own := w.owner.Load(); own != rt {
+		rt.eng.send(own, shardMsg{kind: msgWakeWaiter, t: w, seq: p.waiterSeq})
+		return
 	}
 	if w.status == statusParked && w.park.kind == parkThrowTo && w.parkSeq == p.waiterSeq {
 		rt.unparkWithValue(w, UnitValue)
@@ -882,25 +794,23 @@ func (rt *RT) wakeWaiter(p pendingExc) {
 // this shard: rule (Interrupt) for stuck interruptible targets,
 // otherwise the pending queue (rule ThrowTo's in-flight state). It
 // returns false when ownership moved mid-call (the thread was stolen)
-// and the caller must re-route; serial mode always returns true.
+// and the caller must re-route.
 func (rt *RT) deliverLocal(t *Thread, p pendingExc) bool {
-	if rt.eng != nil {
-		rt.smu.Lock()
-		if t.owner.Load() != rt {
-			rt.smu.Unlock()
-			return false
-		}
-		if t.status == statusRunnable {
-			// Append under the shard lock: the target sits in this
-			// shard's run queue and cannot be stolen mid-append.
-			t.pending = append(t.pending, p)
-			rt.smu.Unlock()
-			return true
-		}
+	rt.smu.Lock()
+	if t.owner.Load() != rt {
 		rt.smu.Unlock()
-		// Parked or done: stable, since only the owner (this shard)
-		// transitions those states and parked threads are never stolen.
+		return false
 	}
+	if t.status == statusRunnable {
+		// Append under the shard lock: the target sits in this shard's
+		// run queue and cannot be stolen mid-append.
+		t.pending = append(t.pending, p)
+		rt.smu.Unlock()
+		return true
+	}
+	rt.smu.Unlock()
+	// Parked or done: stable, since only the owner (this shard)
+	// transitions those states and parked threads are never stolen.
 	if t.status == statusDone {
 		rt.stats.ThrowToDead++
 		rt.wakeWaiter(p)
@@ -924,7 +834,6 @@ func (rt *RT) noteDelivered(t *Thread, p pendingExc, interrupted bool) {
 	}
 	rt.stats.Delivered++
 	rt.wakeWaiter(p)
-	rt.trace(EvDeliver{Thread: t.id, Exc: p.e, Interrupted: interrupted, StepNo: rt.stats.Steps})
 	var flags uint8
 	if interrupted {
 		flags = obs.FlagInterrupt
@@ -933,15 +842,16 @@ func (rt *RT) noteDelivered(t *Thread, p pendingExc, interrupted bool) {
 }
 
 // throwTo implements §5/§8.2 and the §9 synchronous variant. Called
-// from the thrower's step.
+// from the thrower's step. Targets owned by this shard take the direct
+// path in the asynchronous design; anything else becomes a mailbox
+// message to the owner. In the §9 synchronous design the thrower
+// always parks first and delivery happens on the owner's mailbox —
+// including for local targets — so the waiter is safely parked before
+// any concurrent delivery can race to wake it.
 func (rt *RT) throwTo(from *Thread, tid ThreadID, e exc.Exception) (Node, bool) {
 	rt.stats.ThrowTos++
-	rt.trace(EvThrowTo{From: from.id, To: tid, Exc: e, Sync: rt.opts.SyncThrowTo})
-	if rt.eng != nil {
-		return rt.throwToShard(from, tid, e)
-	}
-	target := rt.threads[tid]
-	if target == nil || target.status == statusDone {
+	target := rt.eng.lookup(tid)
+	if target == nil {
 		// "If the thread t has already died or completed, then throwTo
 		// trivially succeeds" (§5).
 		rt.stats.ThrowToDead++
@@ -951,20 +861,15 @@ func (rt *RT) throwTo(from *Thread, tid ThreadID, e exc.Exception) (Node, bool) 
 	if target == from {
 		return rt.throwToSelf(from, e)
 	}
-	if target.status == statusParked && target.mask.Interruptible() && !rt.simNoInterrupt(target) {
-		// Rule (Interrupt): stuck threads receive the exception at
-		// once, in any context. The simNoInterrupt mutation seam can
-		// suppress this rule (the exception queues instead) — a seeded
-		// bug the mutation-testing suite has to catch.
-		span, enqNS := rt.obsEnqueue(tid, from.id, e, uint8(from.mask), 0)
-		rt.interruptStuck(target, pendingExc{e: e, span: span, enqNS: enqNS}, false)
-		return retNode{UnitValue}, false
+	if target.owner.Load() != rt {
+		rt.stats.CrossShardThrowTo++
 	}
 	if !rt.opts.SyncThrowTo {
 		// Rule (ThrowTo): spawn the exception in flight; the caller
-		// continues immediately.
+		// continues immediately. A stuck interruptible target receives
+		// it at once (rule Interrupt, see deliverLocal).
 		span, enqNS := rt.obsEnqueue(tid, from.id, e, uint8(from.mask), 0)
-		target.pending = append(target.pending, pendingExc{e: e, span: span, enqNS: enqNS})
+		rt.routeExc(target, pendingExc{e: e, span: span, enqNS: enqNS})
 		return retNode{UnitValue}, false
 	}
 	// Synchronous design: park until delivery; the wait is itself
@@ -974,12 +879,21 @@ func (rt *RT) throwTo(from *Thread, tid ThreadID, e exc.Exception) (Node, bool) 
 	}
 	span, enqNS := rt.obsEnqueue(tid, from.id, e, uint8(from.mask), obs.FlagSync)
 	from.parkSeq++
-	target.pending = append(target.pending, pendingExc{e: e, waiter: from, waiterSeq: from.parkSeq, span: span, enqNS: enqNS})
 	from.status = statusParked
 	from.park = parkInfo{kind: parkThrowTo, target: target}
-	rt.trace(EvPark{Thread: from.id, Reason: "throwTo"})
 	rt.obsPark(from, parkThrowTo, 0)
+	rt.eng.send(target.owner.Load(), shardMsg{kind: msgThrowTo, t: target, e: e, waiter: from, waiterSeq: from.parkSeq, span: span, enqNS: enqNS})
 	return nil, true
+}
+
+// routeExc lands p on target: directly when this shard owns it,
+// otherwise — or when a steal moved it mid-call — as a msgThrowTo to
+// its owner.
+func (rt *RT) routeExc(target *Thread, p pendingExc) {
+	if target.owner.Load() == rt && rt.deliverLocal(target, p) {
+		return
+	}
+	rt.eng.send(target.owner.Load(), shardMsg{kind: msgThrowTo, t: target, e: p.e, span: p.span, enqNS: p.enqNS})
 }
 
 // throwToSelf handles throwTo targeting the calling thread.
@@ -999,47 +913,6 @@ func (rt *RT) throwToSelf(from *Thread, e exc.Exception) (Node, bool) {
 	return retNode{UnitValue}, false
 }
 
-// throwToShard is throwTo in parallel mode. Targets owned by this
-// shard take the fast local path in the asynchronous design; anything
-// else becomes a mailbox message to the owner. In the §9 synchronous
-// design the thrower always parks first and delivery happens on the
-// owner's mailbox — including for local targets — so the waiter is
-// safely parked before any concurrent delivery can race to wake it.
-func (rt *RT) throwToShard(from *Thread, tid ThreadID, e exc.Exception) (Node, bool) {
-	target := rt.eng.lookup(tid)
-	if target == nil {
-		rt.stats.ThrowToDead++
-		rt.obsEnqueue(tid, from.id, e, uint8(from.mask), obs.FlagTargetDead)
-		return retNode{UnitValue}, false
-	}
-	if target == from {
-		return rt.throwToSelf(from, e)
-	}
-	if target.owner.Load() != rt {
-		rt.stats.CrossShardThrowTo++
-	}
-	if !rt.opts.SyncThrowTo {
-		span, enqNS := rt.obsEnqueue(tid, from.id, e, uint8(from.mask), 0)
-		p := pendingExc{e: e, span: span, enqNS: enqNS}
-		if target.owner.Load() == rt && rt.deliverLocal(target, p) {
-			return retNode{UnitValue}, false
-		}
-		rt.eng.send(target.owner.Load(), shardMsg{kind: msgThrowTo, t: target, e: e, span: span, enqNS: enqNS})
-		return retNode{UnitValue}, false
-	}
-	if n, interrupted := from.raisePendingForPark(); interrupted {
-		return n, false
-	}
-	span, enqNS := rt.obsEnqueue(tid, from.id, e, uint8(from.mask), obs.FlagSync)
-	from.parkSeq++
-	from.status = statusParked
-	from.park = parkInfo{kind: parkThrowTo, target: target}
-	rt.trace(EvPark{Thread: from.id, Reason: "throwTo"})
-	rt.obsPark(from, parkThrowTo, 0)
-	rt.eng.send(target.owner.Load(), shardMsg{kind: msgThrowTo, t: target, e: e, waiter: from, waiterSeq: from.parkSeq, span: span, enqNS: enqNS})
-	return nil, true
-}
-
 // noteDeliveredDirect records an (Interrupt)-path delivery that did not
 // go through the pending queue.
 func (rt *RT) noteDeliveredDirect(t *Thread, p pendingExc) {
@@ -1047,7 +920,6 @@ func (rt *RT) noteDeliveredDirect(t *Thread, p pendingExc) {
 		rt.opts.Sim.Observe(SimEvent{Kind: SimDeliver, Shard: uint8(rt.shardID), A: SimHash(p.e.ExceptionName()), B: uint64(t.id)})
 	}
 	rt.stats.Delivered++
-	rt.trace(EvDeliver{Thread: t.id, Exc: p.e, Interrupted: true, StepNo: rt.stats.Steps})
 	rt.obsDeliver(t, p, obs.FlagInterrupt)
 }
 
@@ -1056,137 +928,4 @@ func (rt *RT) noteDeliveredDirect(t *Thread, p pendingExc) {
 // are dropped silently (use AwaitCleanup to release them).
 func (rt *RT) parkAwait(t *Thread, start func(complete func(v any, e exc.Exception)) (cancel func())) {
 	rt.parkAwaitCleanup(t, start, nil)
-}
-
-// drainExternal runs queued external events without blocking. The extN
-// pending counter makes the empty case one atomic load instead of a
-// channel probe — the scheduler loop calls this every iteration.
-func (rt *RT) drainExternal() {
-	if rt.extN.Load() == 0 {
-		return
-	}
-	for {
-		select {
-		case ev := <-rt.events:
-			rt.extN.Add(-1)
-			ev.f(rt)
-		default:
-			return
-		}
-	}
-}
-
-// syncRealClock advances the runtime clock to wall time and fires due
-// timers (RealClock mode).
-func (rt *RT) syncRealClock() {
-	now := int64(time.Since(rt.realEpoch))
-	if now > rt.now {
-		rt.now = now
-		rt.fireTimersUpTo(now)
-	}
-}
-
-// idle handles the no-runnable-thread state: advance the clock to the
-// next timer, wait for external events, or declare deadlock.
-func (rt *RT) idle() error {
-	switch rt.opts.Clock {
-	case VirtualClock:
-		if at, ok := rt.nextTimerAt(); ok && rt.outstandingIO == 0 {
-			// Jump time forward (the fastest clock rule (Sleep)
-			// permits).
-			rt.trace(EvTimeAdvance{FromNS: rt.now, ToNS: at})
-			rt.simObserve(SimEvent{Kind: SimAdvance, B: uint64(at)})
-			rt.stats.TimeAdvances++
-			rt.now = at
-			rt.fireTimersUpTo(at)
-			return nil
-		}
-		if rt.outstandingIO > 0 || (len(rt.console.readers) > 0 && !rt.console.closed) {
-			// Block for an external completion or injected input. Under
-			// simulation the event is only buffered: its application
-			// order is a recorded decision, taken by drainExternalSim at
-			// the top of the scheduler loop.
-			ev := <-rt.events
-			rt.extN.Add(-1)
-			if rt.opts.Sim != nil {
-				rt.simExt = append(rt.simExt, ev)
-				return nil
-			}
-			ev.f(rt)
-			return nil
-		}
-		return rt.deadlock()
-	default: // RealClock
-		rt.syncRealClock()
-		var wait time.Duration = -1
-		if at, ok := rt.nextTimerAt(); ok {
-			wait = time.Duration(at - rt.now)
-			if wait <= 0 {
-				return nil
-			}
-		}
-		if wait < 0 {
-			if rt.outstandingIO == 0 && !(len(rt.console.readers) > 0 && !rt.console.closed) {
-				return rt.deadlock()
-			}
-			ev := <-rt.events
-			rt.extN.Add(-1)
-			ev.f(rt)
-			return nil
-		}
-		timer := time.NewTimer(wait)
-		select {
-		case ev := <-rt.events:
-			timer.Stop()
-			rt.extN.Add(-1)
-			ev.f(rt)
-		case <-timer.C:
-		}
-		return nil
-	}
-}
-
-// deadlock handles the state in which every thread is stuck on an MVar
-// (or closed input) and no external event can arrive. With detection
-// enabled, every stuck thread receives BlockedIndefinitely — they are
-// stuck, hence interruptible, so rule (Interrupt) justifies delivery
-// even under Block; the uninterruptible extension state is overridden,
-// as in GHC, because no other delivery opportunity can ever arise.
-func (rt *RT) deadlock() error {
-	if !rt.opts.DetectDeadlock {
-		return ErrDeadlock
-	}
-	var stuck []*Thread
-	for _, t := range rt.threads {
-		if t.status == statusParked {
-			stuck = append(stuck, t)
-		}
-	}
-	if len(stuck) == 0 {
-		// Main finished check happens in RunMain's loop; if we get
-		// here with nothing parked, the program has no threads left at
-		// all, which cannot happen while main is live.
-		return ErrDeadlock
-	}
-	// Deterministic order for reproducibility.
-	sortThreadsByID(stuck)
-	ids := make([]ThreadID, len(stuck))
-	for i, t := range stuck {
-		ids[i] = t.id
-	}
-	rt.stats.Deadlocks++
-	rt.trace(EvDeadlock{Threads: ids})
-	for _, t := range stuck {
-		span, enqNS := rt.obsEnqueue(t.id, 0, exc.BlockedIndefinitely{}, obs.MaskUnknown, obs.FlagDeadlock)
-		rt.interruptStuck(t, pendingExc{e: exc.BlockedIndefinitely{}, span: span, enqNS: enqNS}, false)
-	}
-	return nil
-}
-
-func sortThreadsByID(ts []*Thread) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j].id < ts[j-1].id; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"asyncexc/internal/exc"
+	"asyncexc/internal/obs"
 	"asyncexc/internal/sched"
 )
 
@@ -49,13 +50,17 @@ func TestRunMainTwiceFails(t *testing.T) {
 
 func TestMaxStepsFuel(t *testing.T) {
 	opts := sched.DefaultOptions()
-	opts.MaxSteps = 100
+	opts.MaxSteps = 120 // not a multiple of the 50-step slice
 	var loop sched.Node
 	loop = sched.Delay(func() sched.Node { return loop })
 	rt := sched.NewRT(opts)
 	_, err := rt.RunMain(loop)
 	if err != sched.ErrFuelExhausted {
 		t.Fatalf("want ErrFuelExhausted, got %v", err)
+	}
+	// With one shard the budget is exact: the last slice is cut short.
+	if steps := rt.Stats().Steps; steps != 120 {
+		t.Fatalf("ran %d steps on a budget of 120", steps)
 	}
 }
 
@@ -251,14 +256,21 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestTracerSeesDeliverEvents(t *testing.T) {
-	var delivered []sched.EvDeliver
-	opts := sched.DefaultOptions()
-	opts.Tracer = func(ev sched.Event) {
-		if d, ok := ev.(sched.EvDeliver); ok {
-			delivered = append(delivered, d)
+// delivered returns the recorder's KindDeliver events in order.
+func delivered(rec *obs.Recorder) []obs.Event {
+	var out []obs.Event
+	for _, ev := range rec.Snapshot() {
+		if ev.Kind == obs.KindDeliver {
+			out = append(out, ev)
 		}
 	}
+	return out
+}
+
+func TestObserverSeesDeliverEvents(t *testing.T) {
+	rec := obs.NewRecorder(1 << 10)
+	opts := sched.DefaultOptions()
+	opts.Observer = rec
 	main := sched.Bind(sched.Fork(sched.Sleep(time.Hour)), func(raw any) sched.Node {
 		tid := raw.(sched.ThreadID)
 		return seq(
@@ -268,8 +280,9 @@ func TestTracerSeesDeliverEvents(t *testing.T) {
 		)
 	})
 	run(t, opts, main)
-	if len(delivered) != 1 || !delivered[0].Interrupted {
-		t.Fatalf("deliver events %+v", delivered)
+	// The target was stuck in its sleep: rule (Interrupt).
+	if ds := delivered(rec); len(ds) != 1 || ds[0].Flags&obs.FlagInterrupt == 0 {
+		t.Fatalf("deliver events %+v", ds)
 	}
 }
 
@@ -342,17 +355,13 @@ func TestPendingExceptionsFIFO(t *testing.T) {
 	// Two exceptions queued against a masked thread are delivered in
 	// queue order once it unmasks (§8.1: "the first one is removed
 	// from the queue and delivered"). Delivery order is observed with
-	// the tracer; note that the second delivery may preempt the first
+	// an obs recorder; note that the second delivery may preempt the first
 	// handler's very first action — the handler runs at the mask state
 	// recorded by its catch frame (here unmasked), which is exactly
 	// why the paper's finally runs cleanup inside block.
-	var order []string
+	rec := obs.NewRecorder(1 << 10)
 	opts := sched.DefaultOptions()
-	opts.Tracer = func(ev sched.Event) {
-		if d, ok := ev.(sched.EvDeliver); ok {
-			order = append(order, tagOf(d.Exc))
-		}
-	}
+	opts.Observer = rec
 	mvNode := sched.NewEmptyMVar()
 	main := sched.Bind(mvNode, func(raw any) sched.Node {
 		ready := raw.(*sched.MVar)
@@ -380,6 +389,10 @@ func TestPendingExceptionsFIFO(t *testing.T) {
 		})
 	})
 	_, rt := run(t, opts, main)
+	var order []string
+	for _, d := range delivered(rec) {
+		order = append(order, tagOf(d.Exc))
+	}
 	if len(order) != 2 || order[0] != "A" || order[1] != "B" {
 		t.Fatalf("delivery order %v, want [A B]", order)
 	}

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,13 +13,13 @@ import (
 	"asyncexc/internal/obs"
 )
 
-// This file implements the parallel execution engine: the runtime
-// sharded across Options.Shards worker goroutines, each owning a run
-// queue, a timer heap and a mailbox, with work stealing for load
-// balance. The design follows the multicore GHC RTS (per-capability
-// run queues + stealing) and Erlang's schedulers (cross-scheduler
-// signals as messages), chosen so the paper's delivery semantics carry
-// over unchanged:
+// This file implements the execution engine — the only scheduler loop
+// the package has: the runtime sharded across Options.Shards worker
+// goroutines, each owning a run queue, a timer heap and a mailbox,
+// with work stealing for load balance. The design follows the
+// multicore GHC RTS (per-capability run queues + stealing) and
+// Erlang's schedulers (cross-scheduler signals as messages), chosen so
+// the paper's delivery semantics hold at any shard count:
 //
 //   - A thread is owned by exactly one shard at a time; only the owner
 //     steps it or transitions its status. Ownership moves only when a
@@ -29,7 +30,7 @@ import (
 //   - Anything another shard wants done to a thread — landing a
 //     throwTo, waking a parked waiter, completing an await — travels as
 //     a mailbox message to the owner, processed between time slices.
-//     Delivery points are therefore exactly the serial ones.
+//     Delivery points are therefore the same at every shard count.
 //   - MVar and console handoffs commit under the MVar/console lock:
 //     popping a waiter from a wait queue commits its wakeup. An
 //     interrupt that loses this race (rule Interrupt vs. an in-flight
@@ -38,8 +39,12 @@ import (
 //     point when it acquires the MVar" — the acquisition has happened,
 //     so the exception waits for the next delivery point.
 //
-// Serial mode (Shards <= 1) never takes any of these locks and is
-// bit-for-bit the old single-goroutine interpreter.
+// One shard (Shards <= 1, the default) is the same engine with nobody
+// to steal from and nobody else to send to: the locks are taken
+// uncontended, the mailbox carries only await completions, the worker
+// loop runs on RunMain's goroutine, and under the virtual clock the
+// schedule is deterministic. The simulation driver (sim.go) steps the
+// same shards through the same turn function from one goroutine.
 
 // shardMsgKind enumerates cross-shard mailbox messages.
 type shardMsgKind uint8
@@ -139,20 +144,27 @@ func (tb *threadTable) get(id ThreadID) *Thread {
 	return t
 }
 
-// parkedSnapshot lists parked threads. Only meaningful under global
-// quiescence (deadlock detection), when no shard is mutating statuses.
-func (tb *threadTable) parkedSnapshot() []*Thread {
-	var out []*Thread
+// each calls f on every live thread, in no particular order.
+func (tb *threadTable) each(f func(*Thread)) {
 	for i := range tb.buckets {
 		b := &tb.buckets[i]
 		b.mu.Lock()
 		for _, t := range b.m {
-			if t.status == statusParked {
-				out = append(out, t)
-			}
+			f(t)
 		}
 		b.mu.Unlock()
 	}
+}
+
+// parkedSnapshot lists parked threads. Only meaningful under global
+// quiescence (deadlock detection), when no shard is mutating statuses.
+func (tb *threadTable) parkedSnapshot() []*Thread {
+	var out []*Thread
+	tb.each(func(t *Thread) {
+		if t.status == statusParked {
+			out = append(out, t)
+		}
+	})
 	return out
 }
 
@@ -167,7 +179,7 @@ func (tb *threadTable) clear() {
 	}
 }
 
-// engine is the shared state of a parallel run.
+// engine is the state the shards of one runtime share.
 type engine struct {
 	opts   Options
 	shards []*RT
@@ -283,36 +295,25 @@ func (rt *RT) wake() {
 	}
 }
 
-// buildEngine shards the freshly constructed rt across Options.Shards
-// workers. Called from NewRT — before the RT can escape to any other
-// goroutine — so rt.eng is immutable for the RT's whole lifetime and
-// External may read it without synchronization.
+// buildEngine makes the freshly constructed rt shard 0 of a new engine
+// with Options.Shards shards. Called from NewRT — before the RT can
+// escape to any other goroutine — so rt.eng is immutable for the RT's
+// whole lifetime and External may read it without synchronization.
 func (rt *RT) buildEngine() {
 	n := rt.opts.Shards
 	e := &engine{opts: rt.opts, done: make(chan struct{})}
 	e.table.init()
-	if tr := rt.opts.Tracer; tr != nil {
-		// A single tracer callback observed from many shards: serialize.
-		var mu sync.Mutex
-		e.opts.Tracer = func(ev Event) {
-			mu.Lock()
-			tr(ev)
-			mu.Unlock()
-		}
-	}
 	e.shards = make([]*RT, n)
 	e.shards[0] = rt
 	for i := 1; i < n; i++ {
 		s := &RT{
-			opts:    e.opts,
-			threads: make(map[ThreadID]*Thread),
-			rng:     rand.New(rand.NewSource(e.opts.Seed + int64(uint64(i)*0x9E3779B97F4A7C15))),
+			opts: e.opts,
+			rng:  rand.New(rand.NewSource(e.opts.Seed + int64(uint64(i)*0x9E3779B97F4A7C15))),
 		}
 		s.console = rt.console
 		s.bindSimCaps()
 		e.shards[i] = s
 	}
-	rt.opts = e.opts
 	ringCap := e.opts.mailboxCap
 	if ringCap <= 0 {
 		ringCap = 1024
@@ -326,111 +327,86 @@ func (rt *RT) buildEngine() {
 	}
 }
 
-// runParallel is RunMain for Options.Shards > 1: it runs shard 0's
-// worker loop on the calling goroutine and one goroutine per extra
-// shard, and returns the main thread's result. The engine itself was
-// built by NewRT.
-func (rt *RT) runParallel(main Node) (Result, error) {
-	e := rt.eng
-	if e.opts.Sim != nil {
-		// Deterministic simulation: no worker goroutines — a single
-		// cooperative driver interleaves the shards (sim.go).
-		return rt.runSimulated(main)
-	}
-	n := len(e.shards)
-	e.realEpoch = time.Now()
-	rt.realEpoch = e.realEpoch
-	e.mainThread = rt.spawn(main, "main", Unmasked, 0)
-	rt.mainThread = e.mainThread
-
-	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
-		wg.Add(1)
-		go func(s *RT) {
-			defer wg.Done()
-			s.workerLoop()
-		}(e.shards[i])
-	}
-	rt.workerLoop()
-	wg.Wait()
-	// Rule (Proc GC): once the main thread is finished, all other
-	// threads die.
-	e.table.clear()
-	if e.runErr != nil {
-		return Result{}, e.runErr
-	}
-	return e.result, nil
-}
-
-// workerLoop is one shard's scheduler loop: drain messages, run one
-// slice of local (or stolen) work, repeat; idle when there is none.
-// The steady-state iteration is lock- and channel-free: the stop
-// signal, the mailbox, the external-event queue, the run queues and
-// the real clock are all probed through atomic flags/counters, and
-// the heavier machinery behind each one runs only when its flag says
-// there is something to do.
+// workerLoop is one shard's scheduler loop: take turns while there is
+// work, idle when there is none, until the engine stops.
 func (rt *RT) workerLoop() {
 	e := rt.eng
-	zero := rt.shardID == 0
-	real := e.opts.Clock == RealClock
-	var iter uint
-	for {
-		if e.stopped.Load() {
-			rt.publishStats()
-			rt.obsFlush()
-			return
-		}
-		iter++
-		if rt.statsReq.Load() || iter&63 == 0 {
-			rt.statsReq.Store(false)
-			rt.publishStats()
-		}
-		if zero && rt.extN.Load() > 0 {
-			rt.drainExternalShard()
-		}
-		if rt.mailN.Load() > 0 {
-			rt.processMailbox()
-		}
-		if real && iter&31 == 0 {
-			rt.syncRealClockShard()
-		}
-		t := rt.kept
-		rt.kept = nil
-		if t == nil {
-			if rt.qlen.Load() > 0 {
-				t = rt.popLocal()
-			}
-			if t == nil {
-				t = rt.steal()
-			}
-		}
-		if t == nil {
-			rt.publishStats()
-			rt.obsFlush()
-			if err := rt.idleShard(); err != nil {
-				e.fail(err)
-			}
+	for !e.stopped.Load() {
+		if rt.turn() {
 			continue
 		}
-		rt.runSliceShard(t)
-		rt.obsFlush()
+		rt.publishStats()
+		if err := rt.idleShard(); err != nil {
+			e.fail(err)
+		}
 	}
+	rt.publishStats()
 }
 
-// publishStats snapshots this shard's counters under the shard lock so
-// other shards can aggregate them race-free. Called on demand (the
-// statsReq flag), every 64th loop iteration, and at idle/stop
-// boundaries — not every slice.
+// turn is one scheduler iteration on this shard: apply queued external
+// events (shard 0) and mailbox messages, then run one time slice of
+// local — or stolen — work. It reports whether a thread ran. Up to the
+// pick the steady-state turn is lock- and channel-free: the mailbox,
+// the external-event queue, the run queues and the real clock are all
+// probed through atomic flags/counters, and the heavier machinery
+// behind each one runs only when its flag says there is something to
+// do. Workers and the simulation driver both step shards through here.
+func (rt *RT) turn() bool {
+	rt.iter++
+	if rt.statsReq.Load() || rt.iter&63 == 0 {
+		rt.statsReq.Store(false)
+		rt.publishStats()
+	}
+	if rt.shardID == 0 && (rt.extN.Load() > 0 || len(rt.simExt) > 0) {
+		rt.drainExternalShard()
+	}
+	if rt.mailN.Load() > 0 {
+		rt.processMailbox()
+	}
+	if rt.opts.Clock == RealClock && rt.iter&31 == 0 {
+		rt.syncRealClockShard()
+	}
+	t := rt.kept
+	rt.kept = nil
+	if t == nil {
+		t = rt.popLocal()
+	}
+	if t == nil {
+		t = rt.steal()
+	}
+	if t == nil {
+		return false
+	}
+	rt.runSlice(t)
+	return true
+}
+
+// publishStats makes this shard's counters and staged obs events
+// visible to other goroutines: the counters are snapshotted under the
+// shard lock so Stats/ShardStats, which read only snapshots, can
+// aggregate them race-free, and the event stage is committed to the
+// recorder's ring. Called on demand (the statsReq flag), every 64th
+// loop iteration, at idle/stop boundaries — not every slice — and by
+// the getStats family of primitives, so that a thread reading the
+// counters sees its own shard's current slice.
 func (rt *RT) publishStats() {
 	rt.smu.Lock()
 	rt.statsSnap = rt.stats
 	rt.smu.Unlock()
+	if rt.olog != nil {
+		rt.olog.Flush()
+	}
 }
 
-// drainExternalShard runs queued External callbacks on shard 0 (the
-// serial-mode contract: external closures run inside the scheduler).
-// The caller has seen extN > 0; each receive pays the counter back.
+// drainExternalShard runs queued External callbacks on shard 0
+// (External's contract: the closures run inside the scheduler). The
+// caller has seen extN > 0; each receive pays the counter back. Under
+// simulation the application order is the source's (drainExternalSim).
 func (rt *RT) drainExternalShard() {
+	if src := rt.opts.Sim; src != nil {
+		rt.drainExternalSim(src)
+		return
+	}
 	for {
 		select {
 		case ev := <-rt.events:
@@ -547,7 +523,7 @@ func (rt *RT) applyMsg(m shardMsg) {
 		// message arrives — nothing else may have resumed it. The
 		// ownership check, park-state check, status flip and run-queue
 		// push run in ONE shard-lock critical section (the two-message
-		// ping-pong hot path), instead of ownedState + enqueueShard's
+		// ping-pong hot path), instead of ownedState + enqueue's
 		// separate acquisitions.
 		t := m.t
 		rt.smu.Lock()
@@ -645,12 +621,7 @@ func (rt *RT) applyMsg(m shardMsg) {
 		}
 		t := m.t
 		if m.e != nil {
-			rt.obsUnpark(t)
-			t.status = statusRunnable
-			t.park = parkInfo{}
-			t.cur = throwNode{m.e}
-			rt.enqueue(t)
-			rt.trace(EvUnpark{Thread: t.id})
+			rt.resume(t, throwNode{m.e})
 			return
 		}
 		rt.unparkWithValue(t, m.v)
@@ -659,10 +630,9 @@ func (rt *RT) applyMsg(m shardMsg) {
 
 // unparkQueuedLocked finishes an owner-side unpark with rt.smu already
 // held: it makes t runnable with continuation cur, pushes it on the run
-// queue, and releases the lock. The counter bump, sibling wake and
-// trace run after the release (the tracer mutex must never nest inside
-// smu). Mirrors unparkWithValue + enqueueShard fused into the caller's
-// critical section.
+// queue, and releases the lock. The counter bump and sibling wake run
+// after the release. Mirrors unparkWithValue + enqueue fused into the
+// caller's critical section.
 func (rt *RT) unparkQueuedLocked(t *Thread, cur Node) {
 	rt.obsUnpark(t)
 	t.status = statusRunnable
@@ -676,11 +646,10 @@ func (rt *RT) unparkQueuedLocked(t *Thread, cur Node) {
 	if n > 1 {
 		rt.eng.wakeIdleSibling(rt.shardID)
 	}
-	rt.trace(EvUnpark{Thread: t.id})
 }
 
-// enqueueShard pushes t on this shard's run queue.
-func (rt *RT) enqueueShard(t *Thread) {
+// enqueue pushes t on this shard's run queue.
+func (rt *RT) enqueue(t *Thread) {
 	rt.smu.Lock()
 	rt.runq.pushBack(t)
 	n := rt.runq.Len()
@@ -692,14 +661,18 @@ func (rt *RT) enqueueShard(t *Thread) {
 	}
 }
 
-// popLocal pops the next runnable thread from this shard's queue. The
-// hot loop guards the call with a lock-free qlen probe, so the lock is
-// taken only when the queue is believed non-empty.
+// popLocal pops the next runnable thread from this shard's queue, or
+// nil when it is empty: round-robin by default, a uniformly chosen
+// queued thread with Options.RandomSched (see pickRun). The lock-free
+// qlen probe keeps the lock off the path when the queue is empty.
 func (rt *RT) popLocal() *Thread {
+	if rt.qlen.Load() == 0 {
+		return nil
+	}
 	rt.smu.Lock()
 	for rt.runq.Len() > 0 {
 		if rt.opts.RandomSched {
-			rt.runq.swap(0, rt.rng.Intn(rt.runq.Len()))
+			rt.runq.swap(0, rt.pickRun(rt.runq.Len()))
 		}
 		t := rt.runq.popFront()
 		rt.qlen.Store(int32(rt.runq.Len()))
@@ -713,78 +686,87 @@ func (rt *RT) popLocal() *Thread {
 	return nil
 }
 
-// steal takes one runnable thread from the tail of a sibling's queue,
-// transferring ownership. The owner pointer changes under the victim's
-// shard lock, so any shard that verified ownership under its own lock
-// can rely on it until that lock is released.
-func (rt *RT) steal() *Thread {
-	e := rt.eng
-	n := len(e.shards)
-	if n == 1 {
-		return nil
+// pickRun chooses the run-queue index the random scheduler pops next:
+// this shard's seeded draw, unless a simulation source forces the
+// index (replay). Every pick taken is observed (recording); a source
+// answering -1 leaves the draw — and so the seeded stream — exactly
+// what an unrecorded run's would be.
+func (rt *RT) pickRun(qlen int) int {
+	src := rt.opts.Sim
+	idx := -1
+	if rt.simPick {
+		idx = src.PickRun(rt.shardID, qlen)
 	}
-	start := rt.rng.Intn(n)
-	for i := 0; i < n; i++ {
-		v := e.shards[(start+i)%n]
-		if v == rt || v.qlen.Load() == 0 {
-			// Lock-free probe: do not touch a victim whose queue is
-			// (momentarily) empty.
-			continue
-		}
-		v.smu.Lock()
-		t := v.runq.popBack()
-		if t != nil && t.pinned {
-			// ForkOn affinity: pinned threads stay on their placement
-			// shard; put it back and give up on this victim.
-			v.runq.pushBack(t)
-			t = nil
-		}
-		if t != nil {
-			v.qlen.Store(int32(v.runq.Len()))
-			t.owner.Store(rt)
-			t.rt = rt
-			v.smu.Unlock()
-			e.runnable.Add(-1)
-			rt.stats.Steals++
-			rt.trace(EvSteal{Thread: t.id, From: v.shardID, To: rt.shardID})
-			rt.obsSteal(t, v.shardID, rt.shardID)
-			return t
-		}
-		v.smu.Unlock()
+	if idx < 0 || idx >= qlen {
+		idx = rt.rng.Intn(qlen)
 	}
-	return nil
+	if src != nil {
+		src.Observe(SimEvent{Kind: SimPickRun, Shard: uint8(rt.shardID), A: uint32(qlen), B: uint64(idx)})
+	}
+	return idx
 }
 
-// runSliceShard runs t for one time slice on this shard, charging the
-// steps against the engine-wide budget.
-func (rt *RT) runSliceShard(t *Thread) {
+// steal takes one runnable thread from the tail of a sibling's queue,
+// transferring ownership. The victim is drawn from the siblings with
+// queued work by this shard's seeded rng, unless a simulation source
+// forces it; a lone shard, or one whose siblings are all empty,
+// returns without drawing. The owner pointer changes under the
+// victim's shard lock, so any shard that verified ownership under its
+// own lock can rely on it until that lock is released.
+func (rt *RT) steal() *Thread {
 	e := rt.eng
-	t.sliceLeft = rt.opts.TimeSlice
-	before := rt.stats.Steps
-	for t.sliceLeft > 0 && t.status == statusRunnable {
-		t.sliceLeft--
-		rt.step(t)
-	}
-	if e.opts.MaxSteps > 0 && e.steps.Add(rt.stats.Steps-before) >= e.opts.MaxSteps {
-		e.fail(ErrFuelExhausted)
-	}
-	if t.status == statusRunnable {
-		rt.stats.Preemptions++
-		if rt.qlen.Load() == 0 && !rt.opts.RandomSched && rt.opts.Sim == nil {
-			// Run-queue bypass: the shard's sole runnable thread stays
-			// in hand for the next slice instead of round-tripping
-			// through the locked queue. It remains the shard's thread
-			// for delivery purposes (deliverLocal checks owner and
-			// status, not queue membership), and the shard never idles
-			// while holding it, so quiescence still implies no kept
-			// threads anywhere. Disabled under RandomSched: the bypass
-			// skips popLocal's rng draw, which would shift the seeded
-			// random-schedule stream that chaos tests replay.
-			rt.kept = t
-		} else {
-			rt.enqueue(t)
+	src := rt.opts.Sim
+	// mask is the candidate set as the simulation log records it (the
+	// driver admits at most 32 shards).
+	var mask uint32
+	cands := rt.stealCands[:0]
+	for i, s := range e.shards {
+		if s != rt && s.qlen.Load() > 0 {
+			mask |= 1 << uint(i)
+			cands = append(cands, i)
 		}
 	}
+	rt.stealCands = cands
+	if len(cands) == 0 {
+		return nil
+	}
+	pick := -1
+	if rt.simPick {
+		pick = src.PickSteal(rt.shardID, mask)
+		if pick == -2 {
+			return nil
+		}
+	}
+	if pick < 0 || pick >= len(e.shards) || mask&(1<<uint(pick)) == 0 {
+		pick = cands[rt.rng.Intn(len(cands))]
+	}
+	v := e.shards[pick]
+	v.smu.Lock()
+	t := v.runq.popBack()
+	if t != nil && t.pinned {
+		// ForkOn affinity: pinned threads stay on their placement
+		// shard; put it back and give up on this victim.
+		v.runq.pushBack(t)
+		t = nil
+	}
+	var tid uint64
+	if t != nil {
+		v.qlen.Store(int32(v.runq.Len()))
+		t.owner.Store(rt)
+		t.rt = rt
+		tid = uint64(t.id)
+	}
+	v.smu.Unlock()
+	if src != nil {
+		src.Observe(SimEvent{Kind: SimSteal, Shard: uint8(rt.shardID), A: mask, B: uint64(pick+1)<<48 | tid})
+	}
+	if t == nil {
+		return nil
+	}
+	e.runnable.Add(-1)
+	rt.stats.Steals++
+	rt.obsSteal(t, v.shardID, rt.shardID)
+	return t
 }
 
 // syncRealClockShard advances the engine clock to wall time and fires
@@ -808,24 +790,24 @@ func (rt *RT) syncRealClockShard() {
 	}
 	cur := e.now.Load()
 	rt.smu.Lock()
-	due := rt.popDueTimersLocked(cur)
+	due := rt.popDueTimersLocked(nil, cur)
 	rt.smu.Unlock()
-	for _, t := range due {
-		rt.unparkWithValue(t, UnitValue)
+	for _, en := range due {
+		// Rule (Sleep): the thread resumes with return ().
+		rt.unparkWithValue(en.t, UnitValue)
 	}
 }
 
 // popDueTimersLocked pops this shard's live timer entries with deadline
-// <= now; caller holds the shard lock and unparks the returned threads
-// after releasing it.
-func (rt *RT) popDueTimersLocked(now int64) []*Thread {
-	var due []*Thread
+// <= now, in (deadline, arm order), appending them to due; caller holds
+// the shard lock and unparks the sleepers after releasing it.
+func (rt *RT) popDueTimersLocked(due []timerEntry, now int64) []timerEntry {
 	for rt.timers.Len() > 0 && rt.timers.peek().at <= now {
 		en := heap.Pop(&rt.timers).(timerEntry)
 		rt.timerN.Add(-1)
 		if en.live.Load() {
 			en.live.Store(false)
-			due = append(due, en.t)
+			due = append(due, en)
 		}
 	}
 	return due
@@ -868,18 +850,18 @@ func (rt *RT) hasWork() bool {
 // idleShard parks the worker until woken. The shard that brings the
 // idle count to n (all shards idle) with no messages or runnable work
 // in flight is the "last man standing": it alone advances virtual time
-// or runs deadlock detection, mirroring the serial idle() decision
-// tree under global quiescence.
+// or runs deadlock detection (quiesceLocked).
 //
-// Before parking the worker spins briefly with Gosched: in a cross-
-// shard ping-pong the reply is usually instants away, and on a
-// machine with fewer cores than shards the yield is what lets the
-// peer produce it. The park itself is guarded by the idling flag
-// (Dekker-paired with every producer-side wake) and uses a reusable
-// timer whose poll doubles as the lost-wake heal.
+// Before parking the worker spins briefly with Gosched: the reply to a
+// cross-shard ping-pong, or the I/O completion a server just asked
+// for, is usually instants away, and on a machine with fewer cores
+// than goroutines the yield is what lets the peer produce it. The park
+// itself is guarded by the idling flag (Dekker-paired with every
+// producer-side wake).
 func (rt *RT) idleShard() error {
 	e := rt.eng
-	if e.opts.Clock == RealClock {
+	real := e.opts.Clock == RealClock
+	if real {
 		// Keep the clock fresh and fire due timers promptly while idle
 		// (the busy loop amortizes this to every 32nd iteration).
 		rt.syncRealClockShard()
@@ -896,8 +878,7 @@ func (rt *RT) idleShard() error {
 	// the quiesce lock; everyone else parks lock-free. In-flight work
 	// cannot be missed: a producer raises msgs/runnable before waking
 	// its target, so either this check sees the counter non-zero or the
-	// target shard is woken, re-enters, and re-triggers the check. The
-	// 200µs poll below re-triggers it too, healing any remaining race.
+	// target shard is woken, re-enters, and re-triggers the check.
 	n := int32(len(e.shards))
 	if e.idlers.Add(1) == n && e.msgs.Load() == 0 && e.runnable.Load() == 0 {
 		e.idleMu.Lock()
@@ -924,76 +905,85 @@ func (rt *RT) idleShard() error {
 		e.idlers.Add(-1)
 		return nil
 	}
-	wait := 200 * time.Microsecond
-	if e.opts.Clock == RealClock {
-		wait = time.Millisecond
-		if rt.timerN.Load() > 0 {
-			rt.smu.Lock()
-			if at, ok := rt.nextTimerAtLocked(); ok {
-				if d := time.Duration(at - e.now.Load()); d < wait {
-					if d < 0 {
-						d = 0
-					}
-					wait = d
-				}
-			}
-			rt.smu.Unlock()
+	// A lone shard is the only consumer of everything that can wake it,
+	// so the pairing above is complete and it blocks until woken (or
+	// its next real-clock timer). With siblings a short poll re-runs
+	// the quiescence check for the hand-offs between idling shards that
+	// the pairing does not cover.
+	wait := time.Duration(-1)
+	if n > 1 {
+		wait = 200 * time.Microsecond
+		if real {
+			wait = time.Millisecond
 		}
 	}
-	if rt.idleTimer == nil {
-		rt.idleTimer = time.NewTimer(wait)
-	} else {
-		rt.idleTimer.Reset(wait)
+	if real && rt.timerN.Load() > 0 {
+		rt.smu.Lock()
+		if at, ok := rt.nextTimerAtLocked(); ok {
+			d := time.Duration(at - e.now.Load())
+			if d < 0 {
+				d = 0
+			}
+			if wait < 0 || d < wait {
+				wait = d
+			}
+		}
+		rt.smu.Unlock()
+	}
+	var expired <-chan time.Time
+	if wait >= 0 {
+		if rt.idleTimer == nil {
+			rt.idleTimer = time.NewTimer(wait)
+		} else {
+			rt.idleTimer.Reset(wait)
+		}
+		expired = rt.idleTimer.C
 	}
 	select {
 	case <-rt.wakeCh:
-		rt.idleTimer.Stop()
 	case <-e.done:
+	case <-expired:
+	}
+	if wait >= 0 {
 		rt.idleTimer.Stop()
-	case <-rt.idleTimer.C:
 	}
 	rt.idling.Store(false)
 	e.idlers.Add(-1)
+	if real {
+		// The clock stood still while the worker was parked; whatever
+		// woke it must not arm a timer against the old reading.
+		rt.syncRealClockShard()
+	}
 	return nil
 }
 
-// quiesceLocked runs with the idle lock held on the last idle shard
-// under global quiescence. It returns acted=true when it changed state
-// (advanced time or injected BlockedIndefinitely) so the caller should
-// re-enter its loop instead of sleeping.
+// quiesceLocked decides what global quiescence means: every shard is
+// idle and no message or runnable thread is in flight. Workers call it
+// on the last idle shard with the idle lock held, the simulation
+// driver when no shard is a candidate. It returns acted=true when it
+// changed state (advanced time or injected BlockedIndefinitely) so the
+// caller should re-enter its loop instead of waiting.
 func (rt *RT) quiesceLocked() (bool, error) {
 	e := rt.eng
-	if e.opts.Clock == VirtualClock && e.outstandingIO.Load() == 0 {
-		if at, ok := e.earliestTimer(); ok {
-			from := e.now.Load()
+	if at, ok := e.earliestTimer(); ok {
+		if e.opts.Clock == RealClock {
+			// Real timers are waited out by idleShard's timed sleep.
+			return false, nil
+		}
+		if e.outstandingIO.Load() == 0 {
+			// Jump time forward (the fastest clock rule (Sleep)
+			// permits); with I/O outstanding the completion is waited
+			// for rather than overtaken.
 			e.now.Store(at)
 			rt.stats.TimeAdvances++
-			rt.trace(EvTimeAdvance{FromNS: from, ToNS: at})
+			rt.simObserve(SimEvent{Kind: SimAdvance, B: uint64(at)})
 			rt.fireAllTimers(at)
 			return true, nil
 		}
 	}
-	if e.opts.Clock == RealClock {
-		if _, ok := e.earliestTimer(); ok {
-			// Real timers are waited out by idleShard's timed sleep.
-			return false, nil
-		}
-	}
-	if e.outstandingIO.Load() > 0 {
-		return false, nil
-	}
-	if e.opts.Clock == VirtualClock {
-		if _, ok := e.earliestTimer(); ok {
-			// Timers exist but I/O is outstanding (checked above): the
-			// serial loop waits for the completion rather than advancing
-			// past it; unreachable here because outstandingIO == 0, but
-			// kept for symmetry.
-			_ = ok
-		}
-	}
-	if rt.console.waitingReaders() {
-		// Parked getChar readers with input not closed: the environment
-		// may still inject input, so this is a wait, not a deadlock.
+	if e.outstandingIO.Load() > 0 || rt.console.waitingReaders() {
+		// An external completion, or injected input for a parked
+		// getChar reader, may still arrive: a wait, not a deadlock.
 		return false, nil
 	}
 	return true, rt.parallelDeadlock()
@@ -1015,26 +1005,31 @@ func (e *engine) earliestTimer() (int64, bool) {
 
 // fireAllTimers pops due entries from every shard's heap and adopts the
 // sleepers onto the calling shard (safe under global quiescence; work
-// stealing rebalances afterwards).
+// stealing rebalances afterwards). They wake in (deadline, arm order)
+// whichever heaps they sat in: arm sequence numbers are engine-wide.
 func (rt *RT) fireAllTimers(now int64) {
-	var due []*Thread
+	var due timerHeap
 	for _, s := range rt.eng.shards {
 		s.smu.Lock()
-		due = append(due, s.popDueTimersLocked(now)...)
+		due = s.popDueTimersLocked(due, now)
 		s.smu.Unlock()
 	}
-	sortThreadsByID(due)
-	for _, t := range due {
-		t.owner.Store(rt)
-		t.rt = rt
-		rt.unparkWithValue(t, UnitValue)
+	sort.Sort(due)
+	for _, en := range due {
+		en.t.owner.Store(rt)
+		en.t.rt = rt
+		rt.unparkWithValue(en.t, UnitValue)
 	}
 }
 
-// parallelDeadlock is deadlock() under global quiescence: every shard
-// is idle, no messages or I/O are in flight, and no timer can fire.
-// The detecting shard adopts every parked thread and wakes it with
-// BlockedIndefinitely, exactly as the serial detector does.
+// parallelDeadlock handles global quiescence with nothing left to wait
+// for: every thread is stuck on an MVar (or closed input), no message
+// or I/O is in flight, and no timer can fire. With detection enabled,
+// the detecting shard adopts every stuck thread and wakes it with
+// BlockedIndefinitely — they are stuck, hence interruptible, so rule
+// (Interrupt) justifies delivery even under Block; the uninterruptible
+// extension state is overridden, as in GHC, because no other delivery
+// opportunity can ever arise.
 func (rt *RT) parallelDeadlock() error {
 	e := rt.eng
 	if !e.opts.DetectDeadlock {
@@ -1044,13 +1039,9 @@ func (rt *RT) parallelDeadlock() error {
 	if len(stuck) == 0 {
 		return ErrDeadlock
 	}
-	sortThreadsByID(stuck)
-	ids := make([]ThreadID, len(stuck))
-	for i, t := range stuck {
-		ids[i] = t.id
-	}
+	// Deterministic order for reproducibility.
+	sort.Slice(stuck, func(i, j int) bool { return stuck[i].id < stuck[j].id })
 	rt.stats.Deadlocks++
-	rt.trace(EvDeadlock{Threads: ids})
 	for _, t := range stuck {
 		t.owner.Store(rt)
 		t.rt = rt
@@ -1060,23 +1051,19 @@ func (rt *RT) parallelDeadlock() error {
 	return nil
 }
 
-// ShardStats returns one Stats snapshot per shard ([1]Stats in serial
-// mode). In parallel mode every shard's counters — including the
-// calling shard's own — are read from the snapshot each worker
-// publishes under its shard lock, so ShardStats is safe from any
-// goroutine while shards run. Publication is copy-on-demand: each read
-// raises the shard's statsReq flag so the worker refreshes its
-// snapshot at the next loop iteration (busy workers also publish every
-// 64th iteration and at idle/stop boundaries — an idle shard's
-// snapshot is already current, since it published on the way in and
-// runs no steps while parked). Mid-run reads may therefore lag
-// slightly; counters remain monotonic. (Worker-context readers that
-// need current-slice freshness publish their own shard first: see the
-// getStats family of primitives.)
+// ShardStats returns one Stats snapshot per shard. Every shard's
+// counters — including the calling shard's own — are read from the
+// snapshot each worker publishes under its shard lock, so ShardStats
+// is safe from any goroutine while shards run. Publication is
+// copy-on-demand: each read raises the shard's statsReq flag so the
+// worker refreshes its snapshot at the next loop iteration (busy
+// workers also publish every 64th iteration and at idle/stop
+// boundaries — an idle shard's snapshot is already current, since it
+// published on the way in and runs no steps while parked). Mid-run
+// reads may therefore lag slightly; counters remain monotonic.
+// (Worker-context readers that need current-slice freshness publish
+// their own shard first: see the getStats family of primitives.)
 func (rt *RT) ShardStats() []Stats {
-	if rt.eng == nil {
-		return []Stats{rt.stats}
-	}
 	out := make([]Stats, len(rt.eng.shards))
 	for i, s := range rt.eng.shards {
 		s.statsReq.Store(true)
@@ -1091,9 +1078,4 @@ func (rt *RT) ShardStats() []Stats {
 }
 
 // Shards returns the number of shards the runtime executes on.
-func (rt *RT) Shards() int {
-	if rt.eng == nil {
-		return 1
-	}
-	return len(rt.eng.shards)
-}
+func (rt *RT) Shards() int { return len(rt.eng.shards) }

@@ -67,52 +67,38 @@ func SignalTo(tid ThreadID, sig Signal) Node {
 
 func (rt *RT) signalTo(from *Thread, tid ThreadID, sig Signal) {
 	rt.stats.SignalsSent++
-	if rt.eng != nil {
-		target := rt.eng.lookup(tid)
-		if target == nil {
-			rt.stats.SignalsDropped++
-			rt.obsSignalEnqueue(tid, from.id, sig, obs.FlagTargetDead)
-			return
-		}
-		span, enqNS := rt.obsSignalEnqueue(tid, from.id, sig, 0)
-		s := pendingSig{sig: sig, from: from.id, span: span, enqNS: enqNS}
-		if target.owner.Load() == rt && rt.signalLocal(target, s) {
-			return
-		}
-		rt.eng.send(target.owner.Load(), shardMsg{kind: msgSignal, t: target, sig: sig, span: span, enqNS: enqNS, seq: uint64(from.id)})
-		return
-	}
-	target := rt.threads[tid]
-	if target == nil || target.status == statusDone {
+	target := rt.eng.lookup(tid)
+	if target == nil {
 		rt.stats.SignalsDropped++
 		rt.obsSignalEnqueue(tid, from.id, sig, obs.FlagTargetDead)
 		return
 	}
 	span, enqNS := rt.obsSignalEnqueue(tid, from.id, sig, 0)
-	target.sigs = append(target.sigs, pendingSig{sig: sig, from: from.id, span: span, enqNS: enqNS})
+	s := pendingSig{sig: sig, from: from.id, span: span, enqNS: enqNS}
+	if target.owner.Load() == rt && rt.signalLocal(target, s) {
+		return
+	}
+	rt.eng.send(target.owner.Load(), shardMsg{kind: msgSignal, t: target, sig: sig, span: span, enqNS: enqNS, seq: uint64(from.id)})
 }
 
 // signalLocal lands a signal on a thread owned by this shard. It
 // returns false when ownership moved mid-call and the caller must
-// re-route (parallel mode; serial always succeeds). Parked targets
-// keep the signal queued — there is deliberately no Interrupt rule
-// for signals.
+// re-route. Parked targets keep the signal queued — there is
+// deliberately no Interrupt rule for signals.
 func (rt *RT) signalLocal(t *Thread, s pendingSig) bool {
-	if rt.eng != nil {
-		rt.smu.Lock()
-		if t.owner.Load() != rt {
-			rt.smu.Unlock()
-			return false
-		}
-		if t.status == statusRunnable {
-			t.sigs = append(t.sigs, s)
-			rt.smu.Unlock()
-			return true
-		}
+	rt.smu.Lock()
+	if t.owner.Load() != rt {
 		rt.smu.Unlock()
-		// Parked or done: stable (only the owner transitions those
-		// states, and parked threads are never stolen).
+		return false
 	}
+	if t.status == statusRunnable {
+		t.sigs = append(t.sigs, s)
+		rt.smu.Unlock()
+		return true
+	}
+	rt.smu.Unlock()
+	// Parked or done: stable (only the owner transitions those states,
+	// and parked threads are never stolen).
 	if t.status == statusDone {
 		rt.stats.SignalsDropped++
 		return true

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"math/bits"
 	"time"
 )
 
@@ -13,20 +14,18 @@ import (
 // interpose points the mutation-testing pass uses to seed semantic
 // bugs at the paper's delivery points.
 //
-// Two execution modes exist under Options.Sim:
-//
-//   - Serial (Shards <= 1): the ordinary interpreter loop runs, with
-//     each nondeterministic choice routed through the SimSource. A
-//     recording source returns -1 from every Pick ("runtime decides"),
-//     so a recorded run draws exactly the same seeded random numbers
-//     as an unrecorded one and is bit-for-bit identical to it.
-//   - Simulated parallel (Shards > 1): instead of spawning worker
-//     goroutines, runSimulated drives all shards from ONE goroutine,
-//     one bounded turn at a time. Shard state (run queues, mailboxes,
-//     ownership, the message protocol) is exactly the real engine's;
-//     only the interleaving is produced by the driver, which makes a
-//     seeded multi-shard chaos run fully deterministic and therefore
-//     recordable and replayable.
+// Under Options.Sim the engine is the live one with a forced picker:
+// instead of spawning worker goroutines, runSimulated steps all shards
+// from ONE goroutine, one bounded turn (the workers' own turn function)
+// at a time. Shard state (run queues, mailboxes, ownership, the message
+// protocol) and every pick (popLocal's pickRun, steal, quiesceLocked)
+// are exactly the live engine's, each consulting the SimSource; only
+// the interleaving of shards comes from the driver, which makes a
+// seeded multi-shard chaos run fully deterministic and therefore
+// recordable and replayable. A recording source returns -1 from every
+// Pick ("runtime decides"), so a recorded one-shard run draws exactly
+// the same seeded random numbers as an unrecorded one and takes the
+// same steps.
 //
 // The seam costs nothing when Options.Sim is nil: every hook is a
 // nil-check short-circuit (gated by the S2 recording-overhead table).
@@ -149,9 +148,8 @@ const (
 // default (-1, or 0 for IpPendingIndex) is always the correct
 // semantics.
 //
-// All methods are called from the scheduler goroutine only (the serial
-// interpreter or the simulation driver): implementations need no
-// locking.
+// All methods are called from the simulation driver's goroutine only:
+// implementations need no locking.
 type SimSource interface {
 	// PickShard chooses the next shard to run a turn; candidates is a
 	// bitmask of eligible shards. -1 = driver's seeded choice.
@@ -272,43 +270,10 @@ func (rt *RT) simDequeuePending(t *Thread) pendingExc {
 	return t.dequeuePending()
 }
 
-// nextRunnableSim is the serial nextRunnable with the pick routed
-// through the source: under RandomSched the source may force the
-// fair-shuffle index (replay), and every pick actually taken is
-// observed (recording). A -1 answer draws the runtime's own seeded
-// rng, exactly as the unrecorded scheduler would.
-func (rt *RT) nextRunnableSim(src SimSource) *Thread {
-	for rt.runq.Len() > 0 {
-		if rt.opts.RandomSched {
-			qlen := rt.runq.Len()
-			idx := -1
-			if rt.simPick {
-				idx = src.PickRun(0, qlen)
-			}
-			if idx < 0 || idx >= qlen {
-				idx = rt.rng.Intn(qlen)
-			}
-			rt.runq.swap(0, idx)
-			src.Observe(SimEvent{Kind: SimPickRun, A: uint32(qlen), B: uint64(idx)})
-		}
-		t := rt.runq.popFront()
-		if t.status == statusRunnable {
-			return t
-		}
-	}
-	return nil
-}
-
 // drainExternalSim drains queued external events into the hold-back
 // buffer and applies them in source-chosen order (replay forces the
 // recorded arrival order; recording keeps FIFO and logs the labels).
 func (rt *RT) drainExternalSim(src SimSource) {
-	// Fast path: nothing queued and nothing held back. The serial loop
-	// calls this every iteration, so the empty case must be an atomic
-	// load, not a channel select (mirrors drainExternal).
-	if rt.extN.Load() == 0 && len(rt.simExt) == 0 {
-		return
-	}
 	for {
 		for {
 			select {
@@ -340,93 +305,104 @@ func (rt *RT) drainExternalSim(src SimSource) {
 		rt.simExt = rt.simExt[:len(rt.simExt)-1]
 		src.Observe(SimEvent{Kind: SimExternal, Shard: uint8(rt.shardID), A: uint32(n), B: ev.label})
 		ev.f(rt)
-		if rt.eng != nil {
-			rt.eng.msgs.Add(-1)
-		}
+		rt.eng.msgs.Add(-1)
 	}
 }
 
-// runSimulated is RunMain for Options.Shards > 1 with a SimSource: the
-// cooperative simulation driver. All shards are driven from this one
-// goroutine, a turn at a time — drain externals and mailbox, pop (or
-// steal) one thread, run one slice — with every choice routed through
-// the source. The shard data structures and the cross-shard message
-// protocol are exactly the live engine's; only the interleaving comes
-// from the driver, so a seeded run is fully deterministic.
-func (rt *RT) runSimulated(main Node) (Result, error) {
+// runSimulated is RunMain's scheduler loop under a SimSource: the
+// cooperative simulation driver. All shards are stepped from this one
+// goroutine, a turn at a time, with the choice of shard — like every
+// choice inside the turn — routed through the source.
+func (rt *RT) runSimulated() {
 	e := rt.eng
 	src := e.opts.Sim
-	if e.opts.Clock == RealClock {
-		return Result{}, errSimRealClock
-	}
-	if len(e.shards) > 32 {
-		return Result{}, errors.New("sched: simulation mode supports at most 32 shards")
-	}
-	e.realEpoch = time.Now()
-	rt.realEpoch = e.realEpoch
-	e.mainThread = rt.spawn(main, "main", Unmasked, 0)
-	rt.mainThread = e.mainThread
-	cands := make([]int, 0, len(e.shards))
 	for !e.stopped.Load() {
 		// A shard is a candidate for a turn when it has work of its own
-		// (queued threads, mailbox messages, shard-0 externals) or could
-		// steal (someone has queued threads and it has none) — the same
-		// conditions that keep a live worker out of idleShard.
+		// (a kept or queued thread, mailbox messages, shard-0 externals)
+		// or could steal (someone has queued threads and it has none) —
+		// the same conditions that keep a live worker out of idleShard.
+		var busy, free uint32
 		anyQ := false
-		for _, s := range e.shards {
-			if s.qlen.Load() > 0 {
-				anyQ = true
-				break
-			}
-		}
-		var mask uint32
-		cands = cands[:0]
 		for i, s := range e.shards {
-			q := s.qlen.Load() > 0
-			ready := q || s.mailN.Load() > 0 ||
-				(i == 0 && (s.extN.Load() > 0 || len(s.simExt) > 0)) ||
-				(anyQ && !q)
-			if ready {
-				mask |= 1 << uint(i)
-				cands = append(cands, i)
+			bit := uint32(1) << uint(i)
+			switch {
+			case s.qlen.Load() > 0:
+				busy |= bit
+				anyQ = true
+			case s.kept != nil || s.mailN.Load() > 0 ||
+				(i == 0 && (s.extN.Load() > 0 || len(s.simExt) > 0)):
+				busy |= bit
+			default:
+				free |= bit
 			}
 		}
-		if len(cands) == 0 {
-			if err := rt.simQuiesce(); err != nil {
-				for _, s := range e.shards {
-					s.publishStats()
-					s.obsFlush()
-				}
-				e.table.clear()
-				return Result{}, err
+		mask := busy
+		if anyQ {
+			mask |= free
+		}
+		if mask == 0 {
+			// Global quiescence, the driver's idleShard.
+			if acted, err := rt.quiesceLocked(); err != nil {
+				e.fail(err)
+			} else if !acted {
+				e.simAwaitOutside()
 			}
 			continue
 		}
-		pick := cands[0]
-		if len(cands) > 1 {
+		pick := bits.TrailingZeros32(mask)
+		sole := mask&(mask-1) == 0
+		if !sole {
 			pick = -1
 			if rt.simPick {
 				pick = src.PickShard(mask)
 			}
 			if pick < 0 || pick >= len(e.shards) || mask&(1<<uint(pick)) == 0 {
-				pick = cands[rt.simRng().Intn(len(cands))]
+				// The driver's seeded choice: the k-th candidate.
+				k := rt.simRng().Intn(bits.OnesCount32(mask))
+				for pick = 0; ; pick++ {
+					if mask&(1<<uint(pick)) != 0 {
+						if k == 0 {
+							break
+						}
+						k--
+					}
+				}
 			}
 			src.Observe(SimEvent{Kind: SimPickShard, Shard: uint8(pick), A: mask})
 		}
-		e.shards[pick].simTurn()
+		// While the shard was the only candidate and nothing is queued or
+		// in flight anywhere, the scan above would find it alone again:
+		// keep stepping it.
+		for s := e.shards[pick]; s.turn() && sole && e.runnable.Load() == 0 && e.msgs.Load() == 0 && !e.stopped.Load(); {
+		}
 	}
 	var steps uint64
 	for _, s := range e.shards {
 		s.publishStats()
-		s.obsFlush()
 		steps += s.statsSnap.Steps
 	}
-	e.table.clear()
-	if e.runErr != nil {
-		return Result{}, e.runErr
+	if e.runErr == nil {
+		src.Observe(SimEvent{Kind: SimEnd, B: steps})
 	}
-	src.Observe(SimEvent{Kind: SimEnd, B: steps})
-	return e.result, nil
+}
+
+// simAwaitOutside waits, with every shard quiescent, for a completion
+// from a real goroutine (I/O manager, cluster links) to arrive as a
+// mailbox message or external event, by polling. The wait itself is
+// not a scheduling decision and is not recorded — only the chosen
+// application order is.
+func (e *engine) simAwaitOutside() {
+	for !e.stopped.Load() {
+		for _, s := range e.shards {
+			if s.mailN.Load() > 0 || s.extN.Load() > 0 {
+				return
+			}
+		}
+		if e.outstandingIO.Load() == 0 && !e.shards[0].console.waitingReaders() {
+			return
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
 }
 
 // simRng is the driver's own decision stream: shard 0's rng would also
@@ -452,156 +428,4 @@ func (r *simXorshift) Intn(n int) int {
 	r.s ^= r.s >> 7
 	r.s ^= r.s << 17
 	return int(r.s % uint64(n))
-}
-
-// simTurn runs one bounded turn on this shard: apply pending externals
-// and mailbox messages, then run one time slice of local (or stolen)
-// work. Mirrors one workerLoop iteration.
-func (rt *RT) simTurn() {
-	src := rt.opts.Sim
-	if rt.shardID == 0 && (rt.extN.Load() > 0 || len(rt.simExt) > 0) {
-		rt.drainExternalSim(src)
-	}
-	if rt.mailN.Load() > 0 {
-		rt.processMailbox()
-	}
-	t := rt.popLocalSim(src)
-	if t == nil {
-		t = rt.stealSim(src)
-	}
-	if t == nil {
-		return
-	}
-	rt.runSliceShard(t)
-	rt.obsFlush()
-}
-
-// popLocalSim is popLocal with the random-scheduler pick routed through
-// the source (forced on replay, observed when recording).
-func (rt *RT) popLocalSim(src SimSource) *Thread {
-	if rt.qlen.Load() == 0 {
-		return nil
-	}
-	rt.smu.Lock()
-	for rt.runq.Len() > 0 {
-		if rt.opts.RandomSched {
-			qlen := rt.runq.Len()
-			idx := -1
-			if rt.simPick {
-				idx = src.PickRun(rt.shardID, qlen)
-			}
-			if idx < 0 || idx >= qlen {
-				idx = rt.rng.Intn(qlen)
-			}
-			rt.runq.swap(0, idx)
-			src.Observe(SimEvent{Kind: SimPickRun, Shard: uint8(rt.shardID), A: uint32(qlen), B: uint64(idx)})
-		}
-		t := rt.runq.popFront()
-		rt.qlen.Store(int32(rt.runq.Len()))
-		rt.eng.runnable.Add(-1)
-		if t.status == statusRunnable {
-			rt.smu.Unlock()
-			return t
-		}
-	}
-	rt.smu.Unlock()
-	return nil
-}
-
-// stealSim is steal for the simulation driver: the victim comes from
-// the source (or this shard's seeded rng), and the attempt — success
-// or pinned-tail failure — is observed.
-func (rt *RT) stealSim(src SimSource) *Thread {
-	e := rt.eng
-	var mask uint32
-	nc := 0
-	for i, s := range e.shards {
-		if s != rt && s.qlen.Load() > 0 {
-			mask |= 1 << uint(i)
-			nc++
-		}
-	}
-	if nc == 0 {
-		return nil
-	}
-	pick := -1
-	if rt.simPick {
-		pick = src.PickSteal(rt.shardID, mask)
-		if pick == -2 {
-			return nil
-		}
-	}
-	if pick < 0 || pick >= len(e.shards) || mask&(1<<uint(pick)) == 0 {
-		k := rt.rng.Intn(nc)
-		for i := range e.shards {
-			if mask&(1<<uint(i)) != 0 {
-				if k == 0 {
-					pick = i
-					break
-				}
-				k--
-			}
-		}
-	}
-	v := e.shards[pick]
-	v.smu.Lock()
-	t := v.runq.popBack()
-	if t != nil && t.pinned {
-		v.runq.pushBack(t)
-		t = nil
-	}
-	var tid uint64
-	if t != nil {
-		v.qlen.Store(int32(v.runq.Len()))
-		t.owner.Store(rt)
-		t.rt = rt
-		tid = uint64(t.id)
-	}
-	v.smu.Unlock()
-	src.Observe(SimEvent{Kind: SimSteal, Shard: uint8(rt.shardID), A: mask, B: uint64(pick+1)<<48 | tid})
-	if t == nil {
-		return nil
-	}
-	e.runnable.Add(-1)
-	rt.stats.Steals++
-	rt.trace(EvSteal{Thread: t.id, From: v.shardID, To: rt.shardID})
-	rt.obsSteal(t, v.shardID, rt.shardID)
-	return t
-}
-
-// simQuiesce handles the no-candidate state: advance the virtual clock
-// to the next timer, wait for an external completion, or declare
-// deadlock — the driver-side mirror of quiesceLocked.
-func (rt *RT) simQuiesce() error {
-	e := rt.eng
-	if e.outstandingIO.Load() == 0 {
-		if at, ok := e.earliestTimer(); ok {
-			from := e.now.Load()
-			e.now.Store(at)
-			rt.stats.TimeAdvances++
-			rt.trace(EvTimeAdvance{FromNS: from, ToNS: at})
-			rt.simObserve(SimEvent{Kind: SimAdvance, B: uint64(at)})
-			rt.fireAllTimers(at)
-			return nil
-		}
-	}
-	if e.outstandingIO.Load() > 0 || rt.console.waitingReaders() {
-		// Completions arrive from real goroutines (I/O manager, cluster
-		// links) as mailbox messages or external events; poll for one.
-		// The wait itself is not a scheduling decision and is not
-		// recorded — only the chosen application order is.
-		for !e.stopped.Load() {
-			for _, s := range e.shards {
-				if s.mailN.Load() > 0 || s.extN.Load() > 0 {
-					return nil
-				}
-			}
-			if e.outstandingIO.Load() == 0 && !rt.console.waitingReaders() {
-				return nil
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-		return nil
-	}
-	return rt.parallelDeadlock()
 }

@@ -106,7 +106,7 @@ type Stats struct {
 	SignalsDropped   uint64
 
 	// Steals counts threads this shard stole from siblings' run queues
-	// (parallel engine; always 0 in serial mode).
+	// (always 0 with one shard).
 	Steals uint64
 	// CrossShardThrowTo counts throwTo calls whose target was owned by
 	// another shard and travelled as a mailbox message.

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -118,36 +119,44 @@ func TestSyncThrowerInterruptedWithdrawsException(t *testing.T) {
 // --- thread dump ------------------------------------------------------------
 
 func TestThreadDump(t *testing.T) {
-	rt := sched.NewRT(sched.DefaultOptions())
-	mvNode := sched.NewEmptyMVar()
-	main := sched.Bind(mvNode, func(raw any) sched.Node {
-		mv := raw.(*sched.MVar)
-		return seq(
-			sched.Bind(sched.ForkNamed(sched.Then(sched.TakeMVar(mv), sched.ReturnUnit()), "waiter"),
-				func(any) sched.Node { return sched.ReturnUnit() }),
-			sched.Sleep(time.Millisecond),
-			sched.Lift(func() any {
-				dump := rt.ThreadDump()
-				if len(dump) != 2 {
-					t.Errorf("dump has %d threads", len(dump))
-					return sched.UnitValue
-				}
-				if dump[0].Name != "main" || dump[0].Status != "runnable" {
-					t.Errorf("main entry: %+v", dump[0])
-				}
-				if dump[1].Name != "waiter" || dump[1].Status != "parked(takeMVar)" {
-					t.Errorf("waiter entry: %+v", dump[1])
-				}
-				return sched.UnitValue
-			}),
-			sched.PutMVar(mv, 1),
-		)
-	})
-	if _, err := rt.RunMain(main); err != nil {
-		t.Fatal(err)
-	}
-	if s := rt.DumpString(); s != "" {
-		// After the run all threads are gone.
-		t.Fatalf("dump after run: %q", s)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := sched.DefaultOptions()
+			opts.Shards = shards
+			rt := sched.NewRT(opts)
+			mvNode := sched.NewEmptyMVar()
+			main := sched.Bind(mvNode, func(raw any) sched.Node {
+				mv := raw.(*sched.MVar)
+				return seq(
+					sched.Bind(sched.ForkNamed(sched.Then(sched.TakeMVar(mv), sched.ReturnUnit()), "waiter"),
+						func(any) sched.Node { return sched.ReturnUnit() }),
+					// The virtual clock advances only once every shard is
+					// idle, so the waiter is parked when main resumes.
+					sched.Sleep(time.Millisecond),
+					sched.Lift(func() any {
+						dump := rt.ThreadDump()
+						if len(dump) != 2 {
+							t.Errorf("dump has %d threads", len(dump))
+							return sched.UnitValue
+						}
+						if dump[0].Name != "main" || dump[0].Status != "runnable" {
+							t.Errorf("main entry: %+v", dump[0])
+						}
+						if dump[1].Name != "waiter" || dump[1].Status != "parked(takeMVar)" {
+							t.Errorf("waiter entry: %+v", dump[1])
+						}
+						return sched.UnitValue
+					}),
+					sched.PutMVar(mv, 1),
+				)
+			})
+			if _, err := rt.RunMain(main); err != nil {
+				t.Fatal(err)
+			}
+			if s := rt.DumpString(); s != "" {
+				// After the run all threads are gone.
+				t.Fatalf("dump after run: %q", s)
+			}
+		})
 	}
 }

@@ -101,8 +101,7 @@ type pendingExc struct {
 	e      exc.Exception
 	waiter *Thread
 	// waiterSeq is waiter's parkSeq at the time it parked; the wake is
-	// dropped when the waiter has since been interrupted and re-parked
-	// (parallel mode; always matches in serial mode).
+	// dropped when the waiter has since been interrupted and re-parked.
 	waiterSeq uint64
 	// span and enqNS carry the obs tracing span id and enqueue
 	// timestamp from the throwTo site to the delivery event; both zero
@@ -166,14 +165,12 @@ type Thread struct {
 
 	// parkSeq counts park episodes; droppable cross-shard wakeups carry
 	// the seq they expect so a stale wake (the thread was interrupted
-	// and has moved on) is discarded. Maintained in serial mode too,
-	// where it is only ever observed to match.
+	// and has moved on) is discarded.
 	parkSeq uint64
 
-	// owner is the shard currently owning this thread (parallel mode
-	// only; nil in serial mode). It changes only under the previous
-	// owner's shard lock, when a thief steals the thread from that
-	// shard's run queue.
+	// owner is the shard currently owning this thread. It changes only
+	// under the previous owner's shard lock, when a thief steals the
+	// thread from that shard's run queue.
 	owner atomic.Pointer[RT]
 
 	// pinned marks a ForkOn thread: work stealing skips it, so it stays
