@@ -124,12 +124,12 @@ type remoteMonitor struct {
 	box  core.MVar[Down]
 }
 
-// pendingReq is an outstanding whereis/spawn request: the parked
-// green thread's completion callback, plus the peer it depends on so
-// a dead link can fail it.
+// pendingReq is an outstanding whereis/spawn request: the waiting
+// request's completion callback, plus the peer it depends on so a dead
+// link can fail it.
 type pendingReq struct {
 	peer     NodeID
-	complete func(v any, e exc.Exception)
+	complete func(v any, err error)
 }
 
 // link is one live connection to a peer. Frames to send are enqueued
@@ -653,13 +653,13 @@ func (n *Node) handleSpawn(l *link, f frame) {
 }
 
 // completePending resolves one outstanding request.
-func (n *Node) completePending(ref uint64, v any, e exc.Exception) {
+func (n *Node) completePending(ref uint64, v any, err error) {
 	n.mu.Lock()
 	p := n.pending[ref]
 	delete(n.pending, ref)
 	n.mu.Unlock()
 	if p != nil {
-		p.complete(v, e)
+		p.complete(v, err)
 	}
 }
 

@@ -241,33 +241,57 @@ func MonitorInto(n *Node, ref RemoteRef, ch conc.Chan[Down]) core.IO[core.Unit] 
 // Registry: whereis, spawn
 // ---------------------------------------------------------------------
 
-// request parks the calling green thread until the peer answers, the
-// link dies, or the thread is interrupted (in which case the pending
-// entry is retracted — a late answer is dropped, not delivered to a
-// reused park).
+// reqAnswer is the outcome a pendingReq completes with.
+type reqAnswer struct {
+	v   any
+	err error
+}
+
+// request waits, interruptibly, until the peer answers or the link
+// dies. The wait is an iomgr operation: a goroutine blocks on the
+// answer, and interrupting the caller cancels it, which retracts the
+// pending entry (a late answer is dropped) and releases the goroutine.
 func request(n *Node, peer NodeID, name string, mk func(ref uint64) frame) core.IO[any] {
-	return core.FromNode[any](sched.AwaitCleanup("cluster."+name,
-		func(complete func(v any, e exc.Exception)) func() {
-			l := n.lookupLink(peer)
-			if l == nil {
-				complete(nil, NotConnectedError{Node: peer})
-				return nil
+	return core.Delay(func() core.IO[any] {
+		l := n.lookupLink(peer)
+		if l == nil {
+			return core.Throw[any](NotConnectedError{Node: peer})
+		}
+		id := n.refID()
+		answer := make(chan reqAnswer, 1)
+		// Only the first answer lands: the peer's, a dead link's, or the
+		// retraction's.
+		complete := func(v any, err error) {
+			select {
+			case answer <- reqAnswer{v, err}:
+			default:
 			}
-			id := n.refID()
+		}
+		ask := func() (any, error) {
+			// A retraction that beat the goroutine here has answered
+			// already (both sides hold n.mu): send nothing.
 			n.mu.Lock()
-			n.pending[id] = &pendingReq{peer: peer, complete: complete}
+			retracted := len(answer) > 0
+			if !retracted {
+				n.pending[id] = &pendingReq{peer: peer, complete: complete}
+			}
 			n.mu.Unlock()
-			if !l.enqueue(mk(id)) {
+			if !retracted && !l.enqueue(mk(id)) {
 				// Link died under us; fail the request (linkDown may
 				// have swept it already — completePending tolerates).
 				n.completePending(id, nil, NodeDownError{Node: peer})
 			}
-			return func() {
-				n.mu.Lock()
-				delete(n.pending, id)
-				n.mu.Unlock()
-			}
-		}, nil))
+			a := <-answer
+			return a.v, a.err
+		}
+		retract := func() {
+			n.mu.Lock()
+			delete(n.pending, id)
+			complete(nil, exc.PromiseCancelled{})
+			n.mu.Unlock()
+		}
+		return iomgr.DoCancel("cluster."+name, ask, retract, nil)
+	})
 }
 
 // WhereIs resolves a registered name on a peer to a RemoteRef.

@@ -37,18 +37,18 @@ import (
 type frameKind uint8
 
 const (
-	fHello frameKind = iota + 1 // dialer -> acceptor: my NodeID
-	fHelloAck                   // acceptor -> dialer: my NodeID
-	fPing                       // heartbeat
-	fPong                       // heartbeat answer
-	fThrowTo                    // inject an exception into a remote thread
-	fMonitor                    // register a death watch on a remote thread
-	fDemonitor                  // retract a death watch
-	fDown                       // death notification for a watch
-	fWhereis                    // name -> ThreadID lookup request
-	fWhereisReply               // lookup answer
-	fSpawn                      // start a registered service remotely
-	fSpawnReply                 // spawn answer
+	fHello        frameKind = iota + 1 // dialer -> acceptor: my NodeID
+	fHelloAck                          // acceptor -> dialer: my NodeID
+	fPing                              // heartbeat
+	fPong                              // heartbeat answer
+	fThrowTo                           // inject an exception into a remote thread
+	fMonitor                           // register a death watch on a remote thread
+	fDemonitor                         // retract a death watch
+	fDown                              // death notification for a watch
+	fWhereis                           // name -> ThreadID lookup request
+	fWhereisReply                      // lookup answer
+	fSpawn                             // start a registered service remotely
+	fSpawnReply                        // spawn answer
 )
 
 func (k frameKind) String() string {

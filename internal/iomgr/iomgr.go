@@ -43,6 +43,13 @@ func Launch[A any](name string, f func() (A, error)) core.IO[core.Promise[A]] {
 // promise was cancelled, so late results — an accepted connection,
 // say — are reclaimed instead of leaked.
 func LaunchCancel[A any](name string, f func() (A, error), cancel func(), dropped func(A)) core.IO[core.Promise[A]] {
+	return core.FromNode[core.Promise[A]](sched.Bind(launch(name, f, cancel, dropped), func(v any) sched.Node {
+		return sched.Return(core.PromiseFromRaw[A](v.(*sched.Promise)))
+	}))
+}
+
+// launch is LaunchCancel's scheduler node, returning the raw promise.
+func launch[A any](name string, f func() (A, error), cancel func(), dropped func(A)) sched.Node {
 	start := func(complete func(v any, e exc.Exception)) func() {
 		go func() {
 			v, err := f()
@@ -58,11 +65,7 @@ func LaunchCancel[A any](name string, f func() (A, error), cancel func(), droppe
 			dropped(a)
 		}
 	}
-	return core.FromNode[core.Promise[A]](sched.Bind(
-		sched.LaunchPromise(name, start, drop),
-		func(v any) sched.Node {
-			return sched.Return(core.PromiseFromRaw[A](v.(*sched.Promise)))
-		}))
+	return sched.LaunchPromise(name, start, drop)
 }
 
 // Do runs f on a goroutine and waits for it: Launch followed by Await.
@@ -80,15 +83,26 @@ func Do[A any](name string, f func() (A, error)) core.IO[A] {
 // Completions resolve promises rather than park-and-wake machinery:
 // if the waiting thread is interrupted, the promise is cancelled —
 // running the cancel hook and routing a late result to dropped — and
-// the exception propagates. The Await itself is interruptible per
-// §5.3 regardless of the caller's mask state, exactly like the old
-// dedicated await primitive.
+// the exception propagates. The launch and the handler's installation
+// run under Block, in the shape of bracket (§7): an exception landing
+// between them would unwind the thread with the operation launched and
+// neither hook run. The Await parks, so it stays interruptible under
+// Block; a caller that blocked uninterruptibly is left as it is, since
+// Block would make its wait interruptible.
 func DoCancel[A any](name string, f func() (A, error), cancel func(), dropped func(A)) core.IO[A] {
-	return core.Bind(LaunchCancel(name, f, cancel, dropped), func(p core.Promise[A]) core.IO[A] {
-		return core.Catch(core.Await(p), func(e core.Exception) core.IO[A] {
-			return core.Then(core.Void(core.Cancel(p)), core.Throw[A](e))
+	launched := sched.Bind(launch(name, f, cancel, dropped), func(v any) sched.Node {
+		p := v.(*sched.Promise)
+		return sched.Catch(sched.AwaitPromise(p), func(e exc.Exception) sched.Node {
+			return sched.Then(sched.CancelPromise(p), sched.Throw(e))
 		})
 	})
+	blocked := sched.Block(launched)
+	return core.FromNode[A](sched.Bind(sched.GetMask(), func(m any) sched.Node {
+		if m == sched.MaskedUninterruptible {
+			return launched
+		}
+		return blocked
+	}))
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package iomgr_test
 
 import (
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -116,6 +117,124 @@ func TestCancelHookRuns(t *testing.T) {
 	case <-cancelled:
 	case <-time.After(time.Second):
 		t.Fatal("cancel hook never ran")
+	}
+}
+
+// waitFor blocks the calling green thread until ch is closed.
+func waitFor(ch chan struct{}) core.IO[core.Unit] {
+	return iomgr.Do("waitFor", func() (core.Unit, error) { <-ch; return core.UnitValue, nil })
+}
+
+// TestDoCancelDropsLateResult interrupts the await; the result that
+// arrives after the cancellation reaches dropped exactly once instead
+// of leaking.
+func TestDoCancelDropsLateResult(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	droppedCh := make(chan string, 2)
+	op := iomgr.DoCancel("late",
+		func() (string, error) { close(started); <-release; return "late-result", nil },
+		nil,
+		func(v string) { droppedCh <- v })
+	// The main thread waits for the drop through iomgr itself, so the
+	// run ends only once the late result has been reclaimed.
+	waitDrop := iomgr.Do("waitDrop", func() (string, error) {
+		select {
+		case v := <-droppedCh:
+			return v, nil
+		case <-time.After(5 * time.Second):
+			return "", errors.New("late result was not passed to dropped")
+		}
+	})
+	m := core.Bind(core.NewEmptyMVar[core.Unit](), func(done core.MVar[core.Unit]) core.IO[string] {
+		child := core.Finally(core.Void(op), core.Put(done, core.UnitValue))
+		return core.Bind(core.Fork(child), func(tid core.ThreadID) core.IO[string] {
+			return core.Then(core.Seq(
+				waitFor(started),
+				core.KillThread(tid),
+				core.Take(done), // the handler has cancelled the promise
+				core.Lift(func() core.Unit { close(release); return core.UnitValue }),
+			), waitDrop)
+		})
+	})
+	v, e, err := core.RunWith(realOpts(), m)
+	if err != nil || e != nil {
+		t.Fatalf("run: %v %v", err, e)
+	}
+	if v != "late-result" {
+		t.Fatalf("dropped %q", v)
+	}
+	select {
+	case v := <-droppedCh:
+		t.Fatalf("dropped a second time: %q", v)
+	default:
+	}
+}
+
+// TestDoCancelNeverOrphansLaunchedOp kills a thread inside DoCancel at
+// every early point: a one-step time slice, a seeded random scheduler
+// and 0–7 steps of delay before the kill land it anywhere from before
+// the launch to the parked await. An operation that was launched must
+// reach its cancel hook. (A kill landing between the launch and the
+// handler's installation used to unwind the thread with neither hook
+// run, leaving the goroutine blocked.)
+func TestDoCancelNeverOrphansLaunchedOp(t *testing.T) {
+	for seed := int64(0); seed < 400; seed++ {
+		release := make(chan struct{})
+		cancelled := false
+		op := iomgr.DoCancel("op",
+			func() (int, error) { <-release; return 0, nil },
+			func() { cancelled = true; close(release) },
+			nil)
+		delay := make([]core.IO[core.Unit], seed%8)
+		for i := range delay {
+			delay[i] = core.Lift(func() core.Unit { return core.UnitValue })
+		}
+		m := core.Bind(core.NewEmptyMVar[core.Unit](), func(done core.MVar[core.Unit]) core.IO[core.Unit] {
+			child := core.Finally(op, core.Put(done, core.UnitValue))
+			return core.Bind(core.Fork(child), func(tid core.ThreadID) core.IO[core.Unit] {
+				return core.Seq(core.Seq(delay...), core.KillThread(tid), core.Take(done))
+			})
+		})
+		opts := realOpts()
+		opts.TimeSlice = 1
+		opts.RandomSched = true
+		opts.Seed = seed
+		sys := core.NewSystem(opts)
+		if _, e, err := core.RunSystem(sys, m); err != nil || e != nil {
+			t.Fatalf("seed %d: run: %v %v", seed, err, e)
+		}
+		if !cancelled {
+			close(release)
+			if sys.Stats().PromisesCreated > 0 {
+				t.Fatalf("seed %d: the operation was launched, then the kill ran neither hook", seed)
+			}
+		}
+	}
+}
+
+// TestDoUnderBlockUninterruptibleIgnoresKill: DoCancel masks its launch
+// with Block, which must not turn an uninterruptible caller's wait
+// into an interruptible one.
+func TestDoUnderBlockUninterruptibleIgnoresKill(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	m := core.Bind(core.NewEmptyMVar[string](), func(done core.MVar[string]) core.IO[string] {
+		child := core.BlockUninterruptible(core.Then(
+			iomgr.Do("wait", func() (int, error) { close(started); <-release; return 0, nil }),
+			core.Put(done, "finished")))
+		return core.Bind(core.Fork(child), func(tid core.ThreadID) core.IO[string] {
+			return core.Then(core.Seq(
+				waitFor(started),
+				core.KillThread(tid),
+				core.Lift(func() core.Unit { close(release); return core.UnitValue }),
+			), core.Take(done))
+		})
+	})
+	v, e, err := core.RunWith(realOpts(), m)
+	if err != nil || e != nil {
+		t.Fatalf("run: %v %v", err, e)
+	}
+	if v != "finished" {
+		t.Fatalf("got %q", v)
 	}
 }
 

@@ -55,14 +55,11 @@ func (rt *RT) parkSleep(t *Thread, d time.Duration) {
 	seq := rt.eng.nextTimerSeq.Add(1)
 	live := &atomic.Bool{}
 	live.Store(true)
-	t.parkSeq++
-	t.status = statusParked
-	t.park = parkInfo{kind: parkSleep, timerSeq: seq, timerLive: live}
+	rt.park(t, parkInfo{kind: parkSleep, timerLive: live})
 	en := timerEntry{at: rt.nowNS() + int64(d), seq: seq, t: t, live: live}
 	rt.smu.Lock()
 	heap.Push(&rt.timers, en)
 	rt.timerN.Add(1)
 	rt.smu.Unlock()
 	rt.stats.Sleeps++
-	rt.obsPark(t, parkSleep, 0)
 }

@@ -13,14 +13,14 @@ import (
 // injecting input wakes parked readers in FIFO order.
 //
 // The console is shared by all shards and mu guards every field;
-// popping a reader from readers commits its wakeup, the same
+// readers is a waitQ, so popping a reader commits its wakeup, the same
 // discipline as MVar handoff.
 type console struct {
 	mu      sync.Mutex
 	in      []rune
 	out     []rune
 	mirror  io.Writer
-	readers []*Thread
+	readers waitQ
 	// closed marks the input as finished: parked readers count as
 	// deadlocked rather than waiting for the environment.
 	closed bool
@@ -66,12 +66,8 @@ func (rt *RT) getCharOrPark(t *Thread) (Node, bool) {
 		c.mu.Unlock()
 		return retNode{ch}, false
 	}
-	t.parkSeq++
-	t.status = statusParked
-	t.park = parkInfo{kind: parkGetChar}
-	c.readers = append(c.readers, t)
+	rt.park(t, parkInfo{kind: parkGetChar, q: &c.readers, mu: &c.mu})
 	c.mu.Unlock()
-	rt.obsPark(t, parkGetChar, 0)
 	return nil, true
 }
 
@@ -100,14 +96,13 @@ func (rt *RT) InjectInput(s string) {
 	for len(c.readers) > 0 && len(c.in) > 0 {
 		// Membership in readers implies a live getChar park (interrupts
 		// detach under mu), so the pop commits the wakeup.
-		t := c.readers[0]
-		c.readers = dequeueThread(c.readers)
+		t := c.readers.pop()
 		ch, _ := c.getCharLocked()
 		woken = append(woken, wake{t, ch})
 	}
 	c.mu.Unlock()
 	for _, w := range woken {
-		rt.deliverUnpark(w.t, w.ch)
+		rt.deliverUnpark(w.t, w.ch, nil)
 	}
 }
 

@@ -39,6 +39,15 @@
 // reproducible; a real-time clock is available for programs doing
 // actual I/O. An idle one-shard runtime blocks; it does not poll.
 //
+// There is one way to wait and one way to wake. A thread stuck on an
+// MVar (take or put), on console input or on a promise sits in a waitQ
+// (mvar.go) guarded by the lock of the object it waits on; popping it
+// commits the wakeup — the §5.3 interruptibility window closes there —
+// and the wakeup, a value or an exception, reaches the thread through
+// deliverUnpark: a direct resume on its own shard, a msgUnpark to any
+// other. External work (the I/O manager) is a promise settled through
+// the external-event door.
+//
 // Each mailbox is a bounded lock-free MPSC ring (mpsc.go) with a
 // mutex-guarded overflow slow path whose fence keeps per-sender FIFO
 // across the transition; the worker's hot loop checks its per-iteration

@@ -71,43 +71,3 @@ func (rt *RT) InterruptMain(e exc.Exception) {
 		rt.Interrupt(t.id, e)
 	}
 }
-
-// AwaitCleanup is Await with a dropped-result handler: when the
-// awaiting thread is interrupted before the external work completes,
-// the work's eventual result is passed to dropped (from the scheduler
-// goroutine) so resources it carries (an accepted connection, an open
-// file) can be released instead of leaking.
-func AwaitCleanup(
-	name string,
-	start func(complete func(v any, e exc.Exception)) (cancel func()),
-	dropped func(v any, e exc.Exception),
-) Node {
-	return primNode{name: name, step: func(rt *RT, t *Thread) (Node, bool) {
-		if n, interrupted := t.raisePendingForPark(); interrupted {
-			return n, false
-		}
-		rt.parkAwaitCleanup(t, start, dropped)
-		return nil, true
-	}}
-}
-
-// parkAwaitCleanup is parkAwait plus the dropped handler. The
-// completion travels as a msgAwaitDone to the thread's owner
-// (staleness-checked against the park's awaitID).
-func (rt *RT) parkAwaitCleanup(
-	t *Thread,
-	start func(complete func(v any, e exc.Exception)) (cancel func()),
-	dropped func(v any, e exc.Exception),
-) {
-	e := rt.eng
-	id := e.nextAwaitID.Add(1)
-	t.parkSeq++
-	t.status = statusParked
-	t.park = parkInfo{kind: parkAwait, awaitID: id}
-	e.outstandingIO.Add(1)
-	complete := func(v any, ex exc.Exception) {
-		e.send(t.owner.Load(), shardMsg{kind: msgAwaitDone, t: t, v: v, e: ex, seq: id, dropped: dropped})
-	}
-	t.park.cancel = start(complete)
-	rt.obsPark(t, parkAwait, 0)
-}

@@ -15,14 +15,8 @@ import (
 // which realizes one of the interleavings the paper's nondeterministic
 // semantics allows while giving the fairness practical programs expect.
 //
-// Every state transition happens under mu, and popping a waiter from
-// takers/putters COMMITS its wakeup: the popped thread
-// will be resumed by the owner of its shard (directly, or via a
-// must-deliver msgUnpark). An interrupt racing with the handoff must
-// first remove the thread from the queue under mu; if the removal fails
-// the handoff has committed and the exception goes to the pending queue
-// instead — §5.3's interruptibility window closes "right up until the
-// point when it acquires the MVar", and at that point it has.
+// Every state transition happens under mu, and takers/putters are
+// waitQs: popping a waiter COMMITS its wakeup (see waitQ).
 type MVar struct {
 	id   uint64
 	name string
@@ -35,8 +29,8 @@ type MVar struct {
 	// takers wait for the MVar to become full; putters wait for it to
 	// become empty. Each parked putter carries its value in
 	// park.putVal.
-	takers  []*Thread
-	putters []*Thread
+	takers  waitQ
+	putters waitQ
 }
 
 // ID returns the MVar's unique identifier within its runtime.
@@ -74,10 +68,8 @@ func (rt *RT) NewMVarDirect(full bool, v any) *MVar { return rt.newMVar(full, v)
 // deposit was committed by the pop (to be woken after mu is released).
 func (mv *MVar) takeFullLocked() (v any, woke *Thread) {
 	v = mv.val
-	if len(mv.putters) > 0 {
+	if woke = mv.putters.pop(); woke != nil {
 		// A parked putter deposits immediately; the MVar stays full.
-		woke = mv.putters[0]
-		mv.putters = dequeueThread(mv.putters)
 		mv.val = woke.park.putVal
 	} else {
 		mv.full = false
@@ -108,18 +100,14 @@ func (rt *RT) takeMVar(t *Thread, mv *MVar) (Node, bool) {
 		v, woke := mv.takeFullLocked()
 		mv.mu.Unlock()
 		if woke != nil {
-			rt.deliverUnpark(woke, UnitValue)
+			rt.deliverUnpark(woke, UnitValue, nil)
 		}
 		rt.stats.MVarTakes++
 		return retNode{v}, false
 	}
-	t.parkSeq++
-	t.status = statusParked
-	t.park = parkInfo{kind: parkTakeMVar, mv: mv}
-	mv.takers = append(mv.takers, t)
+	rt.park(t, parkInfo{kind: parkTakeMVar, q: &mv.takers, mu: &mv.mu, id: mv.id})
 	mv.mu.Unlock()
 	rt.stats.MVarTakeParks++
-	rt.obsPark(t, parkTakeMVar, mv.id)
 	return nil, true
 }
 
@@ -127,12 +115,9 @@ func (rt *RT) takeMVar(t *Thread, mv *MVar) (Node, bool) {
 // mu. It returns the taker (if any) whose wakeup the
 // pop committed; the taker receives v directly.
 func (mv *MVar) putEmptyLocked(v any) (woke *Thread) {
-	if len(mv.takers) > 0 {
-		// Direct handoff to the longest-waiting taker; the taker has
-		// acquired the value and is past its interruptible window.
-		woke = mv.takers[0]
-		mv.takers = dequeueThread(mv.takers)
-	} else {
+	// Direct handoff to the longest-waiting taker, if any; the taker
+	// has acquired the value and is past its interruptible window.
+	if woke = mv.takers.pop(); woke == nil {
 		mv.full = true
 		mv.val = v
 	}
@@ -160,30 +145,15 @@ func (rt *RT) putMVar(t *Thread, mv *MVar, v any) (Node, bool) {
 		woke := mv.putEmptyLocked(v)
 		mv.mu.Unlock()
 		if woke != nil {
-			rt.deliverUnpark(woke, v)
+			rt.deliverUnpark(woke, v, nil)
 		}
 		rt.stats.MVarPuts++
 		return retNode{UnitValue}, false
 	}
-	t.parkSeq++
-	t.status = statusParked
-	t.park = parkInfo{kind: parkPutMVar, mv: mv, putVal: v}
-	mv.putters = append(mv.putters, t)
+	rt.park(t, parkInfo{kind: parkPutMVar, q: &mv.putters, mu: &mv.mu, id: mv.id, putVal: v})
 	mv.mu.Unlock()
 	rt.stats.MVarPutParks++
-	rt.obsPark(t, parkPutMVar, mv.id)
 	return nil, true
-}
-
-// deliverUnpark resumes a thread whose MVar/console wakeup this shard
-// just committed: directly when this shard owns it, else as a
-// must-deliver message to the owner.
-func (rt *RT) deliverUnpark(t *Thread, v any) {
-	if t.owner.Load() == rt {
-		rt.unparkWithValue(t, v)
-		return
-	}
-	rt.eng.send(t.owner.Load(), shardMsg{kind: msgUnpark, t: t, v: v})
 }
 
 // tryTakeMVar is the non-parking variant: (value, true) on success.
@@ -196,7 +166,7 @@ func (rt *RT) tryTakeMVar(mv *MVar) (any, bool) {
 	v, woke := mv.takeFullLocked()
 	mv.mu.Unlock()
 	if woke != nil {
-		rt.deliverUnpark(woke, UnitValue)
+		rt.deliverUnpark(woke, UnitValue, nil)
 	}
 	rt.stats.MVarTakes++
 	return v, true
@@ -213,48 +183,46 @@ func (rt *RT) tryPutMVar(mv *MVar, v any) bool {
 	woke := mv.putEmptyLocked(v)
 	mv.mu.Unlock()
 	if woke != nil {
-		rt.deliverUnpark(woke, v)
+		rt.deliverUnpark(woke, v, nil)
 	}
 	rt.stats.MVarPuts++
 	return true
 }
 
-// removeFromMVarQueues detaches an interrupted thread from whatever
-// MVar queue it is parked on, reporting whether it was still there. A
-// false return means another shard already popped the thread — its
-// wakeup is committed and the interrupt must not unpark it. Caller
-// holds mv.mu.
-func removeFromMVarQueues(t *Thread) bool {
-	mv := t.park.mv
-	if mv == nil {
-		return true
+// waitQ is the one wait queue: a FIFO of parked threads, used for MVar
+// takers and putters, console readers and promise awaiters. It is
+// guarded by the lock of the object that owns it, and popping a thread
+// COMMITS its wakeup: the popped thread is resumed by its owner
+// (directly, or via a must-deliver msgUnpark) and nothing else may
+// resume it. An interrupt racing with the wakeup must first remove the
+// thread under the same lock (detachParked); if the removal fails the
+// wakeup has committed and the exception goes to the pending queue
+// instead — §5.3's interruptibility window closes "right up until the
+// point when it acquires the MVar", and at that point it has.
+type waitQ []*Thread
+
+func (q *waitQ) push(t *Thread) { *q = append(*q, t) }
+
+// pop removes and returns the longest-waiting thread, or nil.
+func (q *waitQ) pop() *Thread {
+	if len(*q) == 0 {
+		return nil
 	}
-	switch t.park.kind {
-	case parkTakeMVar:
-		before := len(mv.takers)
-		mv.takers = removeThread(mv.takers, t)
-		return len(mv.takers) < before
-	case parkPutMVar:
-		before := len(mv.putters)
-		mv.putters = removeThread(mv.putters, t)
-		return len(mv.putters) < before
-	}
-	return true
+	t := (*q)[0]
+	q.remove(t)
+	return t
 }
 
-func dequeueThread(q []*Thread) []*Thread {
-	copy(q, q[1:])
-	q[len(q)-1] = nil
-	return q[:len(q)-1]
-}
-
-func removeThread(q []*Thread, t *Thread) []*Thread {
-	for i, x := range q {
+// remove takes t out of the queue, reporting whether it was there.
+func (q *waitQ) remove(t *Thread) bool {
+	s := *q
+	for i, x := range s {
 		if x == t {
-			copy(q[i:], q[i+1:])
-			q[len(q)-1] = nil
-			return q[:len(q)-1]
+			copy(s[i:], s[i+1:])
+			s[len(s)-1] = nil
+			*q = s[:len(s)-1]
+			return true
 		}
 	}
-	return q
+	return false
 }

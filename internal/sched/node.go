@@ -329,24 +329,6 @@ type TryResult struct {
 	OK bool
 }
 
-// Await parks the thread until an external completion arrives; it is
-// the bridge used by the I/O manager (internal/iomgr) to run blocking
-// Go calls on goroutines. start is invoked inside the scheduler with a
-// completion callback that may be called from any goroutine, exactly
-// once; cancel (optional) is invoked if the thread is interrupted while
-// waiting, and should unblock the external work (e.g. close a socket).
-// An awaiting thread is stuck and interruptible, like any paper
-// operation that waits for the outside world.
-func Await(name string, start func(complete func(v any, e exc.Exception)) (cancel func())) Node {
-	return primNode{name: name, step: func(rt *RT, t *Thread) (Node, bool) {
-		if n, interrupted := t.raisePendingForPark(); interrupted {
-			return n, false
-		}
-		rt.parkAwait(t, start)
-		return nil, true
-	}}
-}
-
 // Steps returns the total number of scheduler steps executed so far; a
 // Lift-able introspection hook used by fault-injection tests.
 func Steps() Node {

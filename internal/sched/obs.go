@@ -116,20 +116,19 @@ func (rt *RT) obsCatch(t *Thread, e exc.Exception) {
 	})
 }
 
-// obsReasons maps park kinds to obs reasons (same order by design).
+// obsReasons maps park kinds to obs reasons.
 var obsReasons = [...]obs.Reason{
 	parkNone:     obs.ReasonNone,
 	parkTakeMVar: obs.ReasonTakeMVar,
 	parkPutMVar:  obs.ReasonPutMVar,
 	parkSleep:    obs.ReasonSleep,
 	parkGetChar:  obs.ReasonGetChar,
-	parkAwait:    obs.ReasonAwait,
 	parkThrowTo:  obs.ReasonThrowTo,
 	parkPromise:  obs.ReasonPromise,
 }
 
-// obsPark records a thread becoming stuck; arg is the MVar id for
-// MVar parks, 0 otherwise.
+// obsPark records a thread becoming stuck; arg is the MVar or promise
+// id the thread waits on, 0 otherwise.
 func (rt *RT) obsPark(t *Thread, kind parkKind, arg uint64) {
 	if rt.olog == nil {
 		return
@@ -143,11 +142,7 @@ func (rt *RT) obsUnpark(t *Thread) {
 	if rt.olog == nil {
 		return
 	}
-	var arg uint64
-	if mv := t.park.mv; mv != nil {
-		arg = mv.id
-	}
-	rt.olog.Stage(obs.KindUnpark, rt.nowNS(), 0, int64(t.id), 0, arg, 0, uint8(obsReasons[t.park.kind]))
+	rt.olog.Stage(obs.KindUnpark, rt.nowNS(), 0, int64(t.id), 0, t.park.id, 0, uint8(obsReasons[t.park.kind]))
 }
 
 // obsSteal records a thread migrating between shards.

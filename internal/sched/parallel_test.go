@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"asyncexc/internal/exc"
+	"asyncexc/internal/obs"
 )
 
 func parOpts(shards int) Options {
@@ -291,6 +292,84 @@ func TestParallelConsole(t *testing.T) {
 	}
 	if res.Value != 'q' {
 		t.Fatalf("got %v", res.Value)
+	}
+}
+
+// TestParallelPromiseWakeCrossShard pins a promise awaiter to shard 1
+// and its settler to shard 0, so the settlement's committed wakeup
+// crosses shards as a msgUnpark carrying an exception. For a rejection
+// and for a cancellation the awaiter sees the exception raised at its
+// await and is woken on its own shard, and exactly one KindAwait is
+// recorded — by the settling shard, flagged FlagCancel only when the
+// promise was cancelled.
+func TestParallelPromiseWakeCrossShard(t *testing.T) {
+	for _, cancel := range []bool{false, true} {
+		var want exc.Exception = exc.ErrorCall{Msg: "rejected"}
+		if cancel {
+			want = exc.PromiseCancelled{}
+		}
+		rec := obs.NewRecorder(1 << 10)
+		opts := parOpts(2)
+		opts.Observer = rec
+		rt := NewRT(opts)
+		var awaiter ThreadID
+		main := Bind(NewPromiseNode("p"), func(a any) Node {
+			p := a.(*Promise)
+			return Bind(NewEmptyMVar(), func(b any) Node {
+				got := b.(*MVar)
+				await := Catch(AwaitPromise(p), func(e exc.Exception) Node { return PutMVar(got, e) })
+				waiters := Lift(func() any {
+					p.mu.Lock()
+					defer p.mu.Unlock()
+					return len(p.waiters)
+				})
+				// The settler yields until the awaiter has parked.
+				var settle func() Node
+				settle = func() Node {
+					return Bind(waiters, func(n any) Node {
+						if n.(int) == 0 {
+							return Then(Yield(), Delay(settle))
+						}
+						if cancel {
+							return CancelPromise(p)
+						}
+						return ResolvePromiseExc(p, want)
+					})
+				}
+				return Bind(ForkOn(1, await, "awaiter"), func(tid any) Node {
+					awaiter = tid.(ThreadID)
+					return Then(ForkOn(0, Delay(settle), "settler"), TakeMVar(got))
+				})
+			})
+		})
+		res, err := rt.RunMain(main)
+		if err != nil || res.Exc != nil {
+			t.Fatalf("cancel=%v: %v %v", cancel, err, res.Exc)
+		}
+		if e, ok := res.Value.(exc.Exception); !ok || !e.Eq(want) {
+			t.Fatalf("cancel=%v: awaiter raised %v, want %v", cancel, res.Value, want)
+		}
+		var awaits, unparks int
+		for _, ev := range rec.Snapshot() {
+			if ev.Thread != int64(awaiter) {
+				continue
+			}
+			switch ev.Kind {
+			case obs.KindAwait:
+				awaits++
+				if ev.Shard != 0 || (ev.Flags&obs.FlagCancel != 0) != cancel {
+					t.Fatalf("cancel=%v: await event %+v", cancel, ev)
+				}
+			case obs.KindUnpark:
+				unparks++
+				if ev.Shard != 1 {
+					t.Fatalf("cancel=%v: unpark on shard %d, want 1", cancel, ev.Shard)
+				}
+			}
+		}
+		if awaits != 1 || unparks != 1 {
+			t.Fatalf("cancel=%v: %d await and %d unpark events, want 1 each", cancel, awaits, unparks)
+		}
 	}
 }
 

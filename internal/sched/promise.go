@@ -16,14 +16,12 @@ import (
 // the reader interruptibly at the paper's §5.3 delivery points, just
 // like takeMVar.
 //
-// The cross-shard protocol mirrors MVar's commit-on-pop discipline:
-// every state transition happens under p.mu, and popping a waiter from
-// p.waiters COMMITS its wakeup (the settling shard resumes it directly
-// or via a must-deliver msgPromiseWake). An interrupt racing with the
-// settlement must first remove the thread from p.waiters under p.mu;
-// if the removal fails the wakeup has committed and the exception goes
-// to the pending queue instead — the same "right up until the point
-// when it acquires the MVar" window as §5.3.
+// Awaiters wait in the same waitQ as MVar takers, under p.mu, so the
+// cross-shard protocol is MVar's commit-on-pop discipline: settlement
+// pops every waiter, committing its wakeup (a direct resume or a
+// msgUnpark carrying the outcome), and an interrupt that loses the
+// race to the pop leaves its exception pending — the same "right up
+// until the point when it acquires the MVar" window as §5.3.
 //
 // Settlement also drives chains: callbacks attached by the AwaitEither
 // / AwaitAll combinators (core layer), run by the settling shard after
@@ -54,7 +52,7 @@ type Promise struct {
 
 	// waiters are threads parked in AwaitPromise, woken (all at once)
 	// when the promise settles.
-	waiters []*Thread
+	waiters waitQ
 
 	// chains are settlement callbacks (combinator plumbing); each runs
 	// exactly once, on the settling shard, after p.mu is released.
@@ -117,15 +115,6 @@ func NewPromiseNode(name string) Node {
 	}}
 }
 
-// outcome converts a settled promise's record into the node an awaiter
-// resumes with. Caller guarantees the promise is settled.
-func promiseOutcome(v any, e exc.Exception) Node {
-	if e != nil {
-		return throwNode{e}
-	}
-	return retNode{v}
-}
-
 // settlePromise performs the single state transition of a promise:
 // pending → resolved (cancelled=false) or pending → cancelled. It
 // reports whether this call won — a promise settles exactly once, and
@@ -170,7 +159,11 @@ func (rt *RT) settlePromise(p *Promise, v any, e exc.Exception, cancelled bool) 
 		rt.stats.PromisesResolved++
 	}
 	for _, w := range waiters {
-		rt.deliverPromiseWake(w, p, rv, re, cancelled)
+		// The pop committed the waiter's observation of the outcome, so
+		// the settling shard records it, whichever shard owns the waiter.
+		rt.obsAwait(w.id, uint8(w.mask), p.span, p.id, cancelled)
+		rt.stats.Awaits++
+		rt.deliverUnpark(w, rv, re)
 	}
 	for _, fn := range chains {
 		fn(rt, rv, re, cancelled)
@@ -193,19 +186,6 @@ func (rt *RT) settlePromise(p *Promise, v any, e exc.Exception, cancelled bool) 
 // returns whether this call won the resolve-once race.
 func (rt *RT) SettlePromise(p *Promise, v any, e exc.Exception, cancelled bool) bool {
 	return rt.settlePromise(p, v, e, cancelled)
-}
-
-// deliverPromiseWake resumes a waiter whose wakeup this shard just
-// committed (it was popped from p.waiters under p.mu): directly when
-// this shard owns it, else as a must-deliver msgPromiseWake.
-func (rt *RT) deliverPromiseWake(w *Thread, p *Promise, v any, e exc.Exception, cancelled bool) {
-	if w.owner.Load() == rt {
-		rt.obsAwait(w.id, uint8(w.mask), p.span, p.id, cancelled)
-		rt.stats.Awaits++
-		rt.resume(w, promiseOutcome(v, e))
-		return
-	}
-	rt.eng.send(w.owner.Load(), shardMsg{kind: msgPromiseWake, t: w, v: v, e: e, seq: p.id, span: p.span, cancelled: cancelled})
 }
 
 // ResolvePromise settles p with value v; returns whether this call won
@@ -384,15 +364,11 @@ func (rt *RT) awaitPromiseCancel(t *Thread, p *Promise, cancel func()) (Node, bo
 		p.mu.Unlock()
 		rt.obsAwait(t.id, uint8(t.mask), p.span, p.id, cancelled)
 		rt.stats.Awaits++
-		return promiseOutcome(v, e), false
+		return outcome(v, e), false
 	}
-	t.parkSeq++
-	t.status = statusParked
-	t.park = parkInfo{kind: parkPromise, pr: p, cancel: cancel}
-	p.waiters = append(p.waiters, t)
+	rt.park(t, parkInfo{kind: parkPromise, q: &p.waiters, mu: &p.mu, id: p.id, cancel: cancel})
 	p.mu.Unlock()
 	rt.stats.AwaitParks++
-	rt.obsPark(t, parkPromise, p.id)
 	return nil, true
 }
 
@@ -445,9 +421,9 @@ func ChainPromise(p *Promise, fn func(rt *RT, v any, e exc.Exception, cancelled 
 // if the promise is cancelled first; a completion that then loses the
 // settle race goes to dropped (may be nil) so late results — an
 // accepted connection, say — are reclaimed instead of leaked.
-// Outstanding work is counted like an Await so the virtual clock
-// cannot advance past it and the deadlock detector knows a completion
-// is still possible.
+// Outstanding work is counted until the completion is applied, so the
+// virtual clock cannot advance past it and the deadlock detector knows
+// a completion is still possible.
 func LaunchPromise(name string, start func(complete func(v any, e exc.Exception)) (cancel func()), dropped func(v any, e exc.Exception)) Node {
 	return primNode{name: name, step: func(rt *RT, t *Thread) (Node, bool) {
 		p := rt.newPromise(name)

@@ -640,89 +640,82 @@ func (rt *RT) finish(t *Thread, v any, e exc.Exception) {
 	}
 }
 
-// unparkWithValue makes a parked thread runnable again, resuming with
-// return v. Used by MVar handoff, timers, console input and await
-// completions.
-func (rt *RT) unparkWithValue(t *Thread, v any) {
+// park makes t stuck: a new park episode (parkSeq), the park record,
+// and the park event. A queued park also joins its wait queue, so the
+// caller holds pk.mu. Every primitive that waits parks through here.
+func (rt *RT) park(t *Thread, pk parkInfo) {
+	t.parkSeq++
+	t.status = statusParked
+	t.park = pk
+	if pk.q != nil {
+		pk.q.push(t)
+	}
+	rt.obsPark(t, pk.kind, pk.id)
+}
+
+// outcome is the node a woken thread resumes with: return v, or raise
+// e when e is non-nil.
+func outcome(v any, e exc.Exception) Node {
+	if e != nil {
+		return throwNode{e}
+	}
+	return retNode{v}
+}
+
+// unpark makes a parked thread runnable again, resuming with return v
+// or raising e. Used by committed handoffs, promise settlements,
+// timers and §9 thrower release.
+func (rt *RT) unpark(t *Thread, v any, e exc.Exception) {
 	if rt.opts.Sim != nil && rt.simDropUnpark(t) {
 		// Mutation seam (IpDropUnpark): lose the wakeup; the thread
 		// stays parked forever. Seeded bug for the mutation suite.
 		return
 	}
-	rt.resume(t, retNode{v})
-}
-
-// resume makes a parked thread runnable again with continuation cur.
-func (rt *RT) resume(t *Thread, cur Node) {
 	rt.obsUnpark(t)
 	t.status = statusRunnable
 	t.park = parkInfo{}
-	t.cur = cur
+	t.cur = outcome(v, e)
 	rt.enqueue(t)
 }
 
+// deliverUnpark resumes a thread whose wakeup this shard just committed
+// by popping it from a wait queue: directly when this shard owns it,
+// else as a must-deliver msgUnpark to the owner.
+func (rt *RT) deliverUnpark(t *Thread, v any, e exc.Exception) {
+	if own := t.owner.Load(); own != rt {
+		rt.eng.send(own, shardMsg{kind: msgUnpark, t: t, v: v, e: e})
+		return
+	}
+	rt.unpark(t, v, e)
+}
+
 // detachParked removes a parked thread from whatever wait queue holds
-// it, returning false when a committed handoff from another shard got
-// there first (the thread was already popped from the MVar/console
-// queue and its wakeup message is in flight).
+// it, returning false when a committed wakeup got there first (the
+// thread was already popped from its wait queue and its wakeup message
+// is in flight).
 func (rt *RT) detachParked(t *Thread) bool {
-	switch t.park.kind {
-	case parkTakeMVar, parkPutMVar:
-		mv := t.park.mv
-		if mv == nil {
-			return true
+	pk := t.park
+	switch pk.kind {
+	case parkTakeMVar, parkPutMVar, parkGetChar, parkPromise:
+		// A successful removal runs the park's cancel hook outside the
+		// lock: SpeculateNode's hook settles the promise itself,
+		// reaping every producer when the awaiter is torn down.
+		pk.mu.Lock()
+		ok := pk.q.remove(t)
+		pk.mu.Unlock()
+		if ok && pk.cancel != nil {
+			pk.cancel()
 		}
-		mv.mu.Lock()
-		defer mv.mu.Unlock()
-		return removeFromMVarQueues(t)
-	case parkGetChar:
-		c := rt.console
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		before := len(c.readers)
-		c.readers = removeThread(c.readers, t)
-		return len(c.readers) < before
+		return ok
 	case parkSleep:
 		// The heap entry goes stale: its live flag is cleared and the
 		// entry is skipped when it surfaces (lazy deletion).
-		if t.park.timerLive != nil {
-			t.park.timerLive.Store(false)
-		}
+		pk.timerLive.Store(false)
 		return true
-	case parkAwait:
-		if t.park.cancel != nil {
-			t.park.cancel()
-		}
-		return true
-	case parkPromise:
-		// Mirror the MVar discipline: removal from the waiter list
-		// under p.mu either succeeds (the interrupt wins) or fails
-		// because a settling shard already popped the thread — its
-		// wakeup is committed and the exception joins the pending
-		// queue instead. A successful detach runs the park's cancel
-		// hook (outside p.mu: the hook settles the promise itself) —
-		// SpeculateNode uses it to cancel the speculation, reaping
-		// every producer, when the awaiter is torn down.
-		p := t.park.pr
-		if p == nil {
-			return true
-		}
-		p.mu.Lock()
-		before := len(p.waiters)
-		p.waiters = removeThread(p.waiters, t)
-		ok := len(p.waiters) < before
-		p.mu.Unlock()
-		if ok && t.park.cancel != nil {
-			t.park.cancel()
-		}
-		return ok
 	case parkThrowTo:
 		// A synchronous thrower interrupted while waiting withdraws
 		// its in-flight exception (GHC behaviour; see DESIGN.md §5).
-		tgt := t.park.target
-		if tgt == nil {
-			return true
-		}
+		tgt := pk.target
 		if own := tgt.owner.Load(); own != rt {
 			rt.eng.send(own, shardMsg{kind: msgWithdraw, t: tgt, waiter: t})
 			return true
@@ -786,7 +779,7 @@ func (rt *RT) wakeWaiter(p pendingExc) {
 		return
 	}
 	if w.status == statusParked && w.park.kind == parkThrowTo && w.parkSeq == p.waiterSeq {
-		rt.unparkWithValue(w, UnitValue)
+		rt.unpark(w, UnitValue, nil)
 	}
 }
 
@@ -878,10 +871,7 @@ func (rt *RT) throwTo(from *Thread, tid ThreadID, e exc.Exception) (Node, bool) 
 		return n, false
 	}
 	span, enqNS := rt.obsEnqueue(tid, from.id, e, uint8(from.mask), obs.FlagSync)
-	from.parkSeq++
-	from.status = statusParked
-	from.park = parkInfo{kind: parkThrowTo, target: target}
-	rt.obsPark(from, parkThrowTo, 0)
+	rt.park(from, parkInfo{kind: parkThrowTo, target: target})
 	rt.eng.send(target.owner.Load(), shardMsg{kind: msgThrowTo, t: target, e: e, waiter: from, waiterSeq: from.parkSeq, span: span, enqNS: enqNS})
 	return nil, true
 }
@@ -921,11 +911,4 @@ func (rt *RT) noteDeliveredDirect(t *Thread, p pendingExc) {
 	}
 	rt.stats.Delivered++
 	rt.obsDeliver(t, p, obs.FlagInterrupt)
-}
-
-// parkAwait parks t until an external completion for this await
-// arrives (I/O manager bridge); results arriving after an interruption
-// are dropped silently (use AwaitCleanup to release them).
-func (rt *RT) parkAwait(t *Thread, start func(complete func(v any, e exc.Exception)) (cancel func())) {
-	rt.parkAwaitCleanup(t, start, nil)
 }

@@ -310,45 +310,6 @@ func TestInterruptMainFromOutside(t *testing.T) {
 	}
 }
 
-// --- await drop cleanup ---------------------------------------------------------
-
-func TestAwaitCleanupDropsLateResult(t *testing.T) {
-	droppedCh := make(chan any, 1)
-	release := make(chan struct{})
-	await := sched.AwaitCleanup("late",
-		func(complete func(any, exc.Exception)) func() {
-			go func() {
-				<-release
-				complete("late-result", nil)
-			}()
-			return nil
-		},
-		func(v any, e exc.Exception) { droppedCh <- v })
-	main := sched.Bind(sched.Fork(await), func(raw any) sched.Node {
-		tid := raw.(sched.ThreadID)
-		return seq(
-			sched.Sleep(time.Millisecond),
-			sched.ThrowTo(tid, exc.ThreadKilled{}), // interrupt the await
-			sched.Lift(func() any { close(release); return sched.UnitValue }),
-			sched.Sleep(50*time.Millisecond), // wait for the completion
-		)
-	})
-	opts := sched.DefaultOptions()
-	opts.Clock = sched.RealClock
-	rt := sched.NewRT(opts)
-	if _, err := rt.RunMain(main); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case v := <-droppedCh:
-		if v != "late-result" {
-			t.Fatalf("dropped %v", v)
-		}
-	default:
-		t.Fatal("late result was not passed to the drop handler")
-	}
-}
-
 // --- pending-exception queue order (§8.1: FIFO) -----------------------------------
 
 func TestPendingExceptionsFIFO(t *testing.T) {

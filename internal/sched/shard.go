@@ -28,11 +28,13 @@ import (
 //     a single total order and rule (Receive) keeps firing only at
 //     redex boundaries of that order.
 //   - Anything another shard wants done to a thread — landing a
-//     throwTo, waking a parked waiter, completing an await — travels as
-//     a mailbox message to the owner, processed between time slices.
-//     Delivery points are therefore the same at every shard count.
-//   - MVar and console handoffs commit under the MVar/console lock:
-//     popping a waiter from a wait queue commits its wakeup. An
+//     throwTo, waking a parked waiter — travels as a mailbox message to
+//     the owner, processed between time slices. Delivery points are
+//     therefore the same at every shard count.
+//   - Every wait (MVar take and put, console getChar, promise await)
+//     sits in one kind of wait queue, a waitQ, and commits under the
+//     lock of the object that owns it: popping a waiter commits its
+//     wakeup, which reaches the owner as one message, msgUnpark. An
 //     interrupt that loses this race (rule Interrupt vs. an in-flight
 //     committed wakeup) appends the exception to the thread's pending
 //     queue instead, which is precisely §5.3's "right up until the
@@ -41,9 +43,9 @@ import (
 //
 // One shard (Shards <= 1, the default) is the same engine with nobody
 // to steal from and nobody else to send to: the locks are taken
-// uncontended, the mailbox carries only await completions, the worker
-// loop runs on RunMain's goroutine, and under the virtual clock the
-// schedule is deterministic. The simulation driver (sim.go) steps the
+// uncontended, the mailbox carries only §9 synchronous throwTos, the
+// worker loop runs on RunMain's goroutine, and under the virtual clock
+// the schedule is deterministic. The simulation driver (sim.go) steps the
 // same shards through the same turn function from one goroutine.
 
 // shardMsgKind enumerates cross-shard mailbox messages.
@@ -53,8 +55,9 @@ const (
 	// msgThrowTo lands an asynchronous exception (with optional §9
 	// synchronous waiter) on a thread owned by the receiving shard.
 	msgThrowTo shardMsgKind = iota
-	// msgUnpark resumes a thread whose MVar/console wakeup was
-	// committed by another shard; must-deliver.
+	// msgUnpark resumes a thread whose wakeup another shard committed
+	// by popping it from a wait queue (MVar or console handoff, promise
+	// settlement) with a value or an exception; must-deliver.
 	msgUnpark
 	// msgWakeWaiter wakes a synchronous thrower once its exception was
 	// delivered (or its target died); droppable, guarded by parkSeq.
@@ -62,17 +65,10 @@ const (
 	// msgWithdraw removes an interrupted synchronous thrower's
 	// in-flight exception from the target's pending queue.
 	msgWithdraw
-	// msgAwaitDone carries an I/O-manager completion to the owner of
-	// the awaiting thread; staleness-checked against park.awaitID.
-	msgAwaitDone
 	// msgAdopt enqueues a freshly spawned thread on the shard it was
 	// pinned to (ForkOn): the thread was created already owned by the
 	// receiver and has never been in any run queue.
 	msgAdopt
-	// msgPromiseWake resumes a promise awaiter whose wakeup was
-	// committed by the settling shard (popped from p.waiters under
-	// p.mu); must-deliver, like msgUnpark.
-	msgPromiseWake
 	// msgSignal lands a non-lethal signal on a thread owned by the
 	// receiving shard; it joins the target's signal queue (signals
 	// never interrupt parks).
@@ -87,18 +83,13 @@ type shardMsg struct {
 	e         exc.Exception
 	waiter    *Thread
 	waiterSeq uint64
-	seq       uint64 // parkSeq (msgWakeWaiter), awaitID (msgAwaitDone), promise id (msgPromiseWake), sender tid (msgSignal)
-	dropped   func(v any, e exc.Exception)
+	seq       uint64 // parkSeq (msgWakeWaiter), sender tid (msgSignal)
 	// span and enqNS carry the obs span id and enqueue timestamp of a
-	// msgThrowTo/msgSignal across shards (see pendingExc/pendingSig);
-	// for msgPromiseWake span is the promise's span.
+	// msgThrowTo/msgSignal across shards (see pendingExc/pendingSig).
 	span  uint64
 	enqNS int64
 	// sig is a msgSignal's payload.
 	sig Signal
-	// cancelled marks a msgPromiseWake for a cancelled promise (the
-	// awaiter's KindAwait event carries FlagCancel).
-	cancelled bool
 }
 
 // threadTable is the striped id → thread map shared by all shards.
@@ -188,7 +179,6 @@ type engine struct {
 	nextTID      atomic.Int64
 	nextMVarID   atomic.Uint64
 	nextTimerSeq atomic.Uint64
-	nextAwaitID  atomic.Uint64
 
 	runnable      atomic.Int64 // threads sitting in some run queue
 	msgs          atomic.Int64 // mailbox messages (and external events) in flight
@@ -485,23 +475,6 @@ func (rt *RT) processMailbox() {
 	}
 }
 
-// ownedState reads t's status and park info under the shard lock,
-// verifying this shard still owns t. ok=false means t migrated (was
-// stolen) and the message must be forwarded to the new owner. When
-// ok is true and the status is parked or done, the state is stable:
-// only the owner transitions those states, and parked threads are
-// never stolen.
-func (rt *RT) ownedState(t *Thread) (threadStatus, parkInfo, bool) {
-	rt.smu.Lock()
-	if t.owner.Load() != rt {
-		rt.smu.Unlock()
-		return 0, parkInfo{}, false
-	}
-	st, pk := t.status, t.park
-	rt.smu.Unlock()
-	return st, pk, true
-}
-
 // applyMsg handles one mailbox message on the owning shard.
 func (rt *RT) applyMsg(m shardMsg) {
 	e := rt.eng
@@ -519,12 +492,11 @@ func (rt *RT) applyMsg(m shardMsg) {
 		}
 
 	case msgUnpark:
-		// A committed handoff: the thread stays parked until this
-		// message arrives — nothing else may have resumed it. The
-		// ownership check, park-state check, status flip and run-queue
-		// push run in ONE shard-lock critical section (the two-message
-		// ping-pong hot path), instead of ownedState + enqueue's
-		// separate acquisitions.
+		// A committed wakeup: the thread was popped from its wait queue
+		// and stays parked until this message arrives — nothing else
+		// may have resumed it. The ownership check, park-state check,
+		// status flip and run-queue push run in ONE shard-lock critical
+		// section (the two-message ping-pong hot path).
 		t := m.t
 		rt.smu.Lock()
 		if t.owner.Load() != rt {
@@ -532,14 +504,9 @@ func (rt *RT) applyMsg(m shardMsg) {
 			e.send(t.owner.Load(), m)
 			return
 		}
-		if t.status != statusParked {
-			rt.smu.Unlock()
-			return
-		}
-		switch t.park.kind {
-		case parkTakeMVar, parkPutMVar, parkGetChar:
-			rt.unparkQueuedLocked(t, retNode{m.v})
-		default:
+		if t.status == statusParked && t.park.q != nil {
+			rt.unparkQueuedLocked(t, outcome(m.v, m.e))
+		} else {
 			rt.smu.Unlock()
 		}
 
@@ -580,59 +547,19 @@ func (rt *RT) applyMsg(m shardMsg) {
 		// no ownership re-check is needed: nothing can have stolen it.
 		rt.enqueue(m.t)
 
-	case msgPromiseWake:
-		// A committed promise wakeup: the waiter was popped from
-		// p.waiters under p.mu and stays parked until this message
-		// arrives — nothing else may have resumed it (mirrors
-		// msgUnpark).
-		t := m.t
-		rt.smu.Lock()
-		if t.owner.Load() != rt {
-			rt.smu.Unlock()
-			e.send(t.owner.Load(), m)
-			return
-		}
-		if t.status != statusParked || t.park.kind != parkPromise {
-			rt.smu.Unlock()
-			return
-		}
-		rt.obsAwait(t.id, uint8(t.mask), m.span, m.seq, m.cancelled)
-		rt.stats.Awaits++
-		rt.unparkQueuedLocked(t, promiseOutcome(m.v, m.e))
-
 	case msgSignal:
 		s := pendingSig{sig: m.sig, from: ThreadID(m.seq), span: m.span, enqNS: m.enqNS}
 		if !rt.signalLocal(m.t, s) {
 			e.send(m.t.owner.Load(), m)
 		}
-
-	case msgAwaitDone:
-		st, pk, ok := rt.ownedState(m.t)
-		if !ok {
-			e.send(m.t.owner.Load(), m)
-			return
-		}
-		e.outstandingIO.Add(-1)
-		if st != statusParked || pk.kind != parkAwait || pk.awaitID != m.seq {
-			if m.dropped != nil {
-				m.dropped(m.v, m.e)
-			}
-			return
-		}
-		t := m.t
-		if m.e != nil {
-			rt.resume(t, throwNode{m.e})
-			return
-		}
-		rt.unparkWithValue(t, m.v)
 	}
 }
 
 // unparkQueuedLocked finishes an owner-side unpark with rt.smu already
 // held: it makes t runnable with continuation cur, pushes it on the run
 // queue, and releases the lock. The counter bump and sibling wake run
-// after the release. Mirrors unparkWithValue + enqueue fused into the
-// caller's critical section.
+// after the release. Mirrors unpark, fused into the caller's critical
+// section.
 func (rt *RT) unparkQueuedLocked(t *Thread, cur Node) {
 	rt.obsUnpark(t)
 	t.status = statusRunnable
@@ -794,7 +721,7 @@ func (rt *RT) syncRealClockShard() {
 	rt.smu.Unlock()
 	for _, en := range due {
 		// Rule (Sleep): the thread resumes with return ().
-		rt.unparkWithValue(en.t, UnitValue)
+		rt.unpark(en.t, UnitValue, nil)
 	}
 }
 
@@ -1018,7 +945,7 @@ func (rt *RT) fireAllTimers(now int64) {
 	for _, en := range due {
 		en.t.owner.Store(rt)
 		en.t.rt = rt
-		rt.unparkWithValue(en.t, UnitValue)
+		rt.unpark(en.t, UnitValue, nil)
 	}
 }
 

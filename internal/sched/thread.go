@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"asyncexc/internal/exc"
@@ -66,7 +67,6 @@ const (
 	parkPutMVar
 	parkSleep
 	parkGetChar
-	parkAwait
 	parkThrowTo // synchronous throwTo waiting for delivery (§9)
 	parkPromise // awaiting a first-class promise
 )
@@ -83,8 +83,6 @@ func (k parkKind) String() string {
 		return "sleep"
 	case parkGetChar:
 		return "getChar"
-	case parkAwait:
-		return "await"
 	case parkThrowTo:
 		return "throwTo"
 	case parkPromise:
@@ -113,25 +111,25 @@ type pendingExc struct {
 // parkInfo records why a thread is parked and how to extract it.
 type parkInfo struct {
 	kind parkKind
-	// mv is the MVar a taker/putter waits on.
-	mv *MVar
+	// q is the wait queue a queued park (takeMVar, putMVar, getChar,
+	// promise) sits in, and mu the lock of the object that owns it; an
+	// interrupt detaches the thread by removing it from q under mu.
+	q  *waitQ
+	mu *sync.Mutex
+	// id is the MVar or promise id carried by the park and unpark
+	// events (0 for other parks).
+	id uint64
 	// putVal is the value a parked putter is waiting to deposit.
 	putVal any
-	// timerSeq identifies the timer entry of a sleeping thread (the
-	// heap uses lazy deletion).
-	timerSeq uint64
-	// awaitID matches external completions to this park episode.
-	awaitID uint64
 	// timerLive marks a sleeping thread's heap entry as live; cleared
 	// on detach so the lazily-deleted entry is skipped when it
 	// surfaces.
 	timerLive *atomic.Bool
-	// cancel is invoked when an awaiting thread is interrupted.
+	// cancel is invoked when an interrupt detaches the thread from its
+	// wait queue (SpeculateNode's teardown).
 	cancel func()
 	// target is the thread a synchronous throwTo caller is waiting on.
 	target *Thread
-	// pr is the promise a parkPromise thread waits on.
-	pr *Promise
 }
 
 // Thread is the per-thread data block of §8.1: the current action, the
