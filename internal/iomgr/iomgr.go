@@ -5,14 +5,14 @@
 // of the system keeps running.
 //
 // Each blocking call runs on its own goroutine; completion resolves a
-// first-class promise (docs/PROMISES.md) through the scheduler's
-// external-event door. Launch returns that promise immediately, so a
-// green thread can issue several operations and await them later
-// (pipelined I/O); Do is Launch plus an interruptible Await. An
-// interrupted await optionally runs a cancel hook (to unblock the
-// goroutine, e.g. by closing a socket) and a cleanup hook for results
-// that arrive after the waiter has gone (to avoid leaking accepted
-// connections).
+// first-class promise (docs/PROMISES.md) through sched.External, which
+// rides shard 0's mailbox. Launch returns that promise immediately, so
+// a green thread can issue several operations and await them later
+// (pipelined I/O); Do launches and awaits in one interruptible
+// scheduler step. An interrupted wait optionally runs a cancel hook (to
+// unblock the goroutine, e.g. by closing a socket) and a cleanup hook
+// for results that arrive after the waiter has gone (to avoid leaking
+// accepted connections).
 //
 // Programs doing real I/O should run on a RealClock runtime: the
 // virtual clock only advances when no external work is outstanding.
@@ -50,14 +50,23 @@ func LaunchCancel[A any](name string, f func() (A, error), cancel func(), droppe
 
 // launch is LaunchCancel's scheduler node, returning the raw promise.
 func launch[A any](name string, f func() (A, error), cancel func(), dropped func(A)) sched.Node {
-	start := func(complete func(v any, e exc.Exception)) func() {
+	start, drop := hooks(name, f, cancel, dropped)
+	return sched.LaunchPromise(name, start, drop)
+}
+
+// hooks adapts f, cancel and dropped to the scheduler's untyped launch
+// hooks: start runs f on a goroutine and returns cancel, and drop hands
+// a late successful result to dropped.
+func hooks[A any](name string, f func() (A, error), cancel func(), dropped func(A)) (
+	start func(complete func(v any, e exc.Exception)) func(), drop func(v any, e exc.Exception)) {
+	start = func(complete func(v any, e exc.Exception)) func() {
 		go func() {
 			v, err := f()
 			complete(v, exc.FromError(name, err))
 		}()
 		return cancel
 	}
-	drop := func(v any, e exc.Exception) {
+	drop = func(v any, e exc.Exception) {
 		if dropped == nil || e != nil {
 			return
 		}
@@ -65,11 +74,11 @@ func launch[A any](name string, f func() (A, error), cancel func(), dropped func
 			dropped(a)
 		}
 	}
-	return sched.LaunchPromise(name, start, drop)
+	return start, drop
 }
 
-// Do runs f on a goroutine and waits for it: Launch followed by Await.
-// A non-nil error is raised as an IOError tagged with name. The wait
+// Do runs f on a goroutine and waits for it, like Launch followed by
+// Await but in one scheduler step. A non-nil error is raised as an IOError tagged with name. The wait
 // is interruptible, but the underlying Go call is not cancelled — use
 // DoCancel when there is a way to unblock it.
 func Do[A any](name string, f func() (A, error)) core.IO[A] {
@@ -80,29 +89,15 @@ func Do[A any](name string, f func() (A, error)) core.IO[A] {
 // waiting thread is interrupted and should unblock f; dropped (may be
 // nil) receives f's result if it arrives after the waiter has gone.
 //
-// Completions resolve promises rather than park-and-wake machinery:
-// if the waiting thread is interrupted, the promise is cancelled —
-// running the cancel hook and routing a late result to dropped — and
-// the exception propagates. The launch and the handler's installation
-// run under Block, in the shape of bracket (§7): an exception landing
-// between them would unwind the thread with the operation launched and
-// neither hook run. The Await parks, so it stays interruptible under
-// Block; a caller that blocked uninterruptibly is left as it is, since
-// Block would make its wait interruptible.
+// The launch and the wait are one scheduler step (sched.LaunchAwait),
+// so no exception can land between them: an interrupt either arrives
+// before f starts, or it cancels the promise at the moment it detaches
+// the waiter — running cancel and routing any later result to dropped
+// — and then propagates. The wait is interruptible like takeMVar's:
+// under Block, but not under BlockUninterruptible.
 func DoCancel[A any](name string, f func() (A, error), cancel func(), dropped func(A)) core.IO[A] {
-	launched := sched.Bind(launch(name, f, cancel, dropped), func(v any) sched.Node {
-		p := v.(*sched.Promise)
-		return sched.Catch(sched.AwaitPromise(p), func(e exc.Exception) sched.Node {
-			return sched.Then(sched.CancelPromise(p), sched.Throw(e))
-		})
-	})
-	blocked := sched.Block(launched)
-	return core.FromNode[A](sched.Bind(sched.GetMask(), func(m any) sched.Node {
-		if m == sched.MaskedUninterruptible {
-			return launched
-		}
-		return blocked
-	}))
+	start, drop := hooks(name, f, cancel, dropped)
+	return core.FromNode[A](sched.LaunchAwait(name, start, drop))
 }
 
 // ---------------------------------------------------------------------

@@ -129,6 +129,39 @@ func waitFor(ch chan struct{}) core.IO[core.Unit] {
 // arrives after the cancellation reaches dropped exactly once instead
 // of leaking.
 func TestDoCancelDropsLateResult(t *testing.T) {
+	checkLateResultDropped(t, func(release chan struct{}, done core.MVar[core.Unit]) core.IO[core.Unit] {
+		return core.Seq(
+			core.Take(done), // the killed thread has unwound
+			core.Lift(func() core.Unit { close(release); return core.UnitValue }),
+		)
+	})
+}
+
+// TestDoCancelDropsResultLandingBeforeHandler releases the operation in
+// the killer's own slice, right after the kill, and lets its completion
+// arrive before the killed thread runs again: the result lands after
+// the interrupt but before any handler of the killed thread, and must
+// still reach dropped. (Cancelling the promise in a catch handler
+// rather than at the interrupt resolved the orphaned promise instead.)
+func TestDoCancelDropsResultLandingBeforeHandler(t *testing.T) {
+	checkLateResultDropped(t, func(release chan struct{}, done core.MVar[core.Unit]) core.IO[core.Unit] {
+		return core.Seq(
+			core.Lift(func() core.Unit {
+				close(release)
+				time.Sleep(20 * time.Millisecond) // the completion is queued
+				return core.UnitValue
+			}),
+			core.Take(done),
+		)
+	})
+}
+
+// checkLateResultDropped forks a thread into DoCancel, kills it once
+// the operation has started, and then runs after(release, done), which
+// must release the operation; done is filled when the killed thread
+// has unwound. The operation's result must reach dropped exactly once.
+func checkLateResultDropped(t *testing.T, after func(release chan struct{}, done core.MVar[core.Unit]) core.IO[core.Unit]) {
+	t.Helper()
 	started, release := make(chan struct{}), make(chan struct{})
 	droppedCh := make(chan string, 2)
 	op := iomgr.DoCancel("late",
@@ -151,8 +184,7 @@ func TestDoCancelDropsLateResult(t *testing.T) {
 			return core.Then(core.Seq(
 				waitFor(started),
 				core.KillThread(tid),
-				core.Take(done), // the handler has cancelled the promise
-				core.Lift(func() core.Unit { close(release); return core.UnitValue }),
+				after(release, done),
 			), waitDrop)
 		})
 	})
@@ -174,9 +206,9 @@ func TestDoCancelDropsLateResult(t *testing.T) {
 // every early point: a one-step time slice, a seeded random scheduler
 // and 0–7 steps of delay before the kill land it anywhere from before
 // the launch to the parked await. An operation that was launched must
-// reach its cancel hook. (A kill landing between the launch and the
-// handler's installation used to unwind the thread with neither hook
-// run, leaving the goroutine blocked.)
+// reach its cancel hook. (When the launch and the await were separate
+// steps, a kill landing between them could unwind the thread with
+// neither hook run, leaving the goroutine blocked.)
 func TestDoCancelNeverOrphansLaunchedOp(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
 		release := make(chan struct{})
@@ -212,9 +244,9 @@ func TestDoCancelNeverOrphansLaunchedOp(t *testing.T) {
 	}
 }
 
-// TestDoUnderBlockUninterruptibleIgnoresKill: DoCancel masks its launch
-// with Block, which must not turn an uninterruptible caller's wait
-// into an interruptible one.
+// TestDoUnderBlockUninterruptibleIgnoresKill: a Do waiting under
+// BlockUninterruptible is not interruptible, so a kill waits for the
+// operation to finish.
 func TestDoUnderBlockUninterruptibleIgnoresKill(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	m := core.Bind(core.NewEmptyMVar[string](), func(done core.MVar[string]) core.IO[string] {
@@ -236,6 +268,34 @@ func TestDoUnderBlockUninterruptibleIgnoresKill(t *testing.T) {
 	if v != "finished" {
 		t.Fatalf("got %q", v)
 	}
+}
+
+// TestDoStepCount pins the scheduler cost of an I/O wait: the launch
+// and the await are one step, so a Do sequenced by a bind costs at
+// most four steps.
+func TestDoStepCount(t *testing.T) {
+	steps := func(n int) uint64 {
+		var loop func(i int) core.IO[core.Unit]
+		loop = func(i int) core.IO[core.Unit] {
+			if i == 0 {
+				return core.Return(core.UnitValue)
+			}
+			return core.Bind(iomgr.Do("noop", func() (int, error) { return 0, nil }), func(int) core.IO[core.Unit] {
+				return loop(i - 1)
+			})
+		}
+		sys := core.NewSystem(realOpts())
+		if _, e, err := core.RunSystem(sys, loop(n)); err != nil || e != nil {
+			t.Fatalf("run: %v %v", err, e)
+		}
+		return sys.Stats().Steps
+	}
+	const n = 2000
+	per := float64(steps(n)-steps(0)) / n
+	if per > 4 {
+		t.Fatalf("%.2f steps per Do, want <= 4", per)
+	}
+	t.Logf("%.2f steps per Do", per)
 }
 
 func TestTCPRoundTrip(t *testing.T) {

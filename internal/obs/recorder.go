@@ -22,6 +22,11 @@ const (
 	// to the configured capacity, so a quiet shard never pays for a
 	// full-size ring.
 	initialRingCap = 1 << 10
+	// labelCap bounds each shard's label intern table. Labels such as
+	// per-connection thread names are unbounded in number; past the
+	// cap an event keeps its other fields, loses its label, and the
+	// loss is counted (ShardCounters.LabelsDropped).
+	labelCap = 1 << 12
 )
 
 // record is the stored form of an Event: pointer-free (the exception
@@ -131,11 +136,14 @@ type ShardLog struct {
 	head   uint64 // total events ever committed to the ring
 	drops  uint64 // events overwritten before ever being snapshot
 	// Intern tables (indices are 1-based; 0 means none). Distinct
-	// exceptions and labels per shard are few, so a linear Eq scan
-	// beats maintaining map invariants for possibly-uncomparable
-	// exception values.
-	excs   []exc.Exception
-	labels []string
+	// exceptions per shard are few, so a linear Eq scan beats
+	// maintaining map invariants for possibly-uncomparable exception
+	// values. Labels are indexed by a map and capped at labelCap;
+	// labelDrops counts labels refused once the table was full.
+	excs       []exc.Exception
+	labels     []string
+	labelIdx   map[string]uint32
+	labelDrops uint64
 }
 
 // Record stamps e (Seq, Shard) and stages it. Owner-only. A full
@@ -200,17 +208,24 @@ func (l *ShardLog) internExc(e exc.Exception) uint32 {
 	return uint32(len(l.excs))
 }
 
-// internLabel returns the 1-based intern index for s; caller holds mu.
+// internLabel returns the 1-based intern index for s, or 0 — counted
+// in labelDrops — when s is new and the table is full; caller holds mu.
 func (l *ShardLog) internLabel(s string) uint32 {
 	if s == "" {
 		return 0
 	}
-	for i, x := range l.labels {
-		if x == s {
-			return uint32(i + 1)
-		}
+	if i, ok := l.labelIdx[s]; ok {
+		return i
+	}
+	if len(l.labels) >= labelCap {
+		l.labelDrops++
+		return 0
+	}
+	if l.labelIdx == nil {
+		l.labelIdx = make(map[string]uint32)
 	}
 	l.labels = append(l.labels, s)
+	l.labelIdx[s] = uint32(len(l.labels))
 	return uint32(len(l.labels))
 }
 
@@ -313,6 +328,9 @@ type ShardCounters struct {
 	Committed uint64
 	// Dropped is the number of committed events lost to ring wrap.
 	Dropped uint64
+	// LabelsDropped is the number of events recorded without their
+	// label because the shard's label intern table was full.
+	LabelsDropped uint64
 }
 
 // Stats is a recorder-wide volume snapshot.
@@ -337,7 +355,7 @@ func (r *Recorder) Stats() Stats {
 	st := Stats{Recorded: r.seq.Load(), Filtered: r.filtered.Load(), Spans: r.spans.Load()}
 	for _, l := range r.shardLogs() {
 		l.mu.Lock()
-		c := ShardCounters{Committed: l.head, Dropped: l.drops}
+		c := ShardCounters{Committed: l.head, Dropped: l.drops, LabelsDropped: l.labelDrops}
 		l.mu.Unlock()
 		st.Committed += c.Committed
 		st.Dropped += c.Dropped

@@ -1,11 +1,47 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"asyncexc/internal/exc"
 )
+
+// TestLabelTableBounded records 10⁵ distinct labels on one shard: the
+// intern table stops at labelCap, every label past it is counted as
+// dropped instead of interned, and the first labels still resolve.
+func TestLabelTableBounded(t *testing.T) {
+	const n = 100000
+	r := NewRecorder(1 << 17)
+	l := r.ShardLog(0)
+	for i := 0; i < n; i++ {
+		l.Record(Event{Kind: KindSpawn, Thread: int64(i), Label: fmt.Sprintf("conn-%d", i)})
+	}
+	l.Record(Event{Kind: KindSpawn, Thread: n, Label: "conn-0"})
+	l.Flush()
+	if len(l.labels) != labelCap || len(l.labelIdx) != labelCap {
+		t.Fatalf("label table holds %d (index %d), want the cap %d", len(l.labels), len(l.labelIdx), labelCap)
+	}
+	if got := r.Stats().Shards[0].LabelsDropped; got != n-labelCap {
+		t.Fatalf("LabelsDropped = %d, want %d", got, n-labelCap)
+	}
+	evs := r.Snapshot()
+	if len(evs) != n+1 {
+		t.Fatalf("snapshot has %d events, want %d", len(evs), n+1)
+	}
+	for _, i := range []int{0, labelCap - 1} {
+		if want := fmt.Sprintf("conn-%d", i); evs[i].Label != want {
+			t.Fatalf("event %d has label %q, want %q", i, evs[i].Label, want)
+		}
+	}
+	if evs[labelCap].Label != "" || evs[n-1].Label != "" {
+		t.Fatalf("labels past the cap were kept: %q, %q", evs[labelCap].Label, evs[n-1].Label)
+	}
+	if evs[n].Label != "conn-0" {
+		t.Fatalf("a first label re-recorded after the cap resolved to %q", evs[n].Label)
+	}
+}
 
 func TestRecordFlushSnapshot(t *testing.T) {
 	r := NewRecorder(64)

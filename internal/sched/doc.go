@@ -45,13 +45,17 @@
 // commits the wakeup — the §5.3 interruptibility window closes there —
 // and the wakeup, a value or an exception, reaches the thread through
 // deliverUnpark: a direct resume on its own shard, a msgUnpark to any
-// other. External work (the I/O manager) is a promise settled through
-// the external-event door.
+// other. External work (the I/O manager) is a promise settled by an
+// External callback; LaunchAwait launches it and awaits the promise in
+// one step, so an interrupt cancels the promise as it detaches the
+// waiter.
 //
-// Each mailbox is a bounded lock-free MPSC ring (mpsc.go) with a
-// mutex-guarded overflow slow path whose fence keeps per-sender FIFO
-// across the transition; the worker's hot loop checks its per-iteration
-// obligations (stop, external events, mail, timers) with single atomic
+// There is one way in from the outside world: External sends its
+// callback to shard 0 as a mailbox message. Each mailbox is a bounded
+// lock-free MPSC ring (mpsc.go) with a mutex-guarded overflow slow path
+// whose fence keeps per-sender FIFO across the transition; the worker's
+// hot loop checks its per-iteration obligations (stop, mail, timers)
+// with single atomic
 // loads and batches clock resync and stats publication, so an idle
 // obligation costs one predictable load per scheduler iteration.
 // Stats/ShardStats expose the counters; Stats.MailboxDepth is the

@@ -383,15 +383,13 @@ func GetShardStats() Node {
 	}}
 }
 
-// NoteRestart bumps the SupervisorRestarts counter; called by
+// NoteRestartNamed bumps the SupervisorRestarts counter; called by
 // internal/supervise each time a child is restarted so soak runs are
-// diagnosable from scheduler stats alone.
-func NoteRestart() Node { return NoteRestartNamed("", 0) }
-
-// NoteRestartNamed is NoteRestart carrying the restarted child's name
-// and, when non-zero, the span of the delivered exception that killed
-// the child into the obs event stream (KindRestart) — the link that
-// lets a trace walk from a throwTo to the restart that answered it.
+// diagnosable from scheduler stats alone. It records the restarted
+// child's name and, when non-zero, the span of the delivered exception
+// that killed the child into the obs event stream (KindRestart) — the
+// link that lets a trace walk from a throwTo to the restart that
+// answered it.
 func NoteRestartNamed(child string, span uint64) Node {
 	return primNode{name: "noteRestart", step: func(rt *RT, t *Thread) (Node, bool) {
 		rt.stats.SupervisorRestarts++
@@ -420,20 +418,10 @@ func NoteRetry() Node {
 	}}
 }
 
-// NoteBreakerOpen bumps the BreakerOpen counter (a breaker tripped).
-// Prefer NoteBreakerTransition, which also records the obs event with
-// the breaker's name and both endpoint states.
-func NoteBreakerOpen() Node {
-	return primNode{name: "noteBreakerOpen", step: func(rt *RT, t *Thread) (Node, bool) {
-		rt.stats.BreakerOpen++
-		return retNode{UnitValue}, false
-	}}
-}
-
 // NoteBreakerTransition records a circuit-breaker state change as a
 // KindBreaker obs event; from/to use the resilience package's mode
 // codes (0 closed, 1 open, 2 half-open). Transitions into open also
-// bump the BreakerOpen counter, matching NoteBreakerOpen.
+// bump the BreakerOpen counter (a breaker tripped).
 func NoteBreakerTransition(name string, from, to int) Node {
 	return primNode{name: "noteBreakerTransition", step: func(rt *RT, t *Thread) (Node, bool) {
 		if to == 1 {

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -262,6 +264,70 @@ func TestParallelExternalInterrupt(t *testing.T) {
 	}
 	if _, ok := res.Value.(exc.UserInterrupt); !ok {
 		t.Fatalf("got %+v", res)
+	}
+}
+
+// TestExternalFloodNeverBlocks: External rides shard 0's mailbox, so a
+// flood never blocks its callers. Eight producers make 20 000 calls
+// each from inside one step of the main thread — at one shard nothing
+// drains the mailbox until they have all returned — and every callback
+// then runs exactly once, on shard 0, in per-producer order.
+func TestExternalFloodNeverBlocks(t *testing.T) {
+	const producers, calls = 8, 20000
+	for _, shards := range []int{1, 2} {
+		rt := NewRT(parOpts(shards))
+		// next[p] is the index of producer p's next callback; only
+		// callbacks touch it, and RunMain's return publishes it to us.
+		next := make([]int, producers)
+		var ran, wrong atomic.Int64
+		flood := primNode{name: "flood", step: func(*RT, *Thread) (Node, bool) {
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					for i := 0; i < calls; i++ {
+						rt.External(func(r *RT) {
+							if r.shardID != 0 || next[p] != i {
+								wrong.Add(1)
+							}
+							next[p] = i + 1
+							ran.Add(1)
+						})
+					}
+				}(p)
+			}
+			returned := make(chan struct{})
+			go func() { wg.Wait(); close(returned) }()
+			select {
+			case <-returned:
+				return retNode{UnitValue}, false
+			case <-time.After(30 * time.Second):
+				return throwNode{exc.ErrorCall{Msg: "External blocked its caller"}}, false
+			}
+		}}
+		var drained func() Node
+		drained = func() Node {
+			if ran.Load() == producers*calls {
+				return Return(UnitValue)
+			}
+			return Bind(Yield(), func(any) Node { return drained() })
+		}
+		res, err := rt.RunMain(Bind(flood, func(any) Node { return Delay(drained) }))
+		if err != nil || res.Exc != nil {
+			t.Fatalf("shards=%d: %v %v", shards, err, res.Exc)
+		}
+		if n := wrong.Load(); n != 0 {
+			t.Fatalf("shards=%d: %d callbacks ran off shard 0 or out of producer order", shards, n)
+		}
+		for p, n := range next {
+			if n != calls {
+				t.Fatalf("shards=%d: producer %d: %d of %d callbacks ran", shards, p, n, calls)
+			}
+		}
+		if n := ran.Load(); n != producers*calls {
+			t.Fatalf("shards=%d: %d callbacks ran, want %d", shards, n, producers*calls)
+		}
 	}
 }
 

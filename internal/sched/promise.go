@@ -426,29 +426,56 @@ func ChainPromise(p *Promise, fn func(rt *RT, v any, e exc.Exception, cancelled 
 // a completion is still possible.
 func LaunchPromise(name string, start func(complete func(v any, e exc.Exception)) (cancel func()), dropped func(v any, e exc.Exception)) Node {
 	return primNode{name: name, step: func(rt *RT, t *Thread) (Node, bool) {
-		p := rt.newPromise(name)
-		rt.eng.outstandingIO.Add(1)
-		var once sync.Once
-		complete := func(v any, ex exc.Exception) {
-			once.Do(func() {
-				rt.External(func(rt *RT) {
-					rt.eng.outstandingIO.Add(-1)
-					if !rt.settlePromise(p, v, ex, false) && dropped != nil {
-						dropped(v, ex)
-					}
-				})
-			})
-		}
-		cancel := start(complete)
-		if cancel != nil {
-			p.mu.Lock()
-			if p.state == promisePending {
-				p.onCancel = cancel
-			}
-			p.mu.Unlock()
-			// Settled before the hook landed: the completion beat us
-			// (cancellation is impossible — p was not yet visible).
-		}
-		return retNode{p}, false
+		return retNode{rt.launchPromise(name, start, dropped)}, false
 	}}
+}
+
+// LaunchAwait is LaunchPromise followed by an await of its promise, in
+// one step: invoking the operation and receiving its result are one
+// scheduler primitive, with no delivery point between them. A pending
+// interruptible exception is raised before anything starts; once the
+// operation is launched, an interrupt that detaches the parked waiter
+// cancels the promise in the same step (the detach hook SpeculateNode
+// uses), so the cancel hook runs and a late result always reaches
+// dropped. The wait is interruptible exactly when an MVar take would
+// be: under Unmasked and Block, not under BlockUninterruptible.
+func LaunchAwait(name string, start func(complete func(v any, e exc.Exception)) (cancel func()), dropped func(v any, e exc.Exception)) Node {
+	return primNode{name: name, step: func(rt *RT, t *Thread) (Node, bool) {
+		if n, interrupted := t.raisePendingForPark(); interrupted {
+			return n, false
+		}
+		p := rt.launchPromise(name, start, dropped)
+		return rt.awaitPromiseCancel(t, p, func() {
+			rt.settlePromise(p, nil, nil, true)
+		})
+	}}
+}
+
+// launchPromise creates p, starts the external work and installs its
+// cancel hook: the body of LaunchPromise and LaunchAwait.
+func (rt *RT) launchPromise(name string, start func(complete func(v any, e exc.Exception)) (cancel func()), dropped func(v any, e exc.Exception)) *Promise {
+	p := rt.newPromise(name)
+	rt.eng.outstandingIO.Add(1)
+	var once sync.Once
+	complete := func(v any, ex exc.Exception) {
+		once.Do(func() {
+			rt.External(func(rt *RT) {
+				rt.eng.outstandingIO.Add(-1)
+				if !rt.settlePromise(p, v, ex, false) && dropped != nil {
+					dropped(v, ex)
+				}
+			})
+		})
+	}
+	cancel := start(complete)
+	if cancel != nil {
+		p.mu.Lock()
+		if p.state == promisePending {
+			p.onCancel = cancel
+		}
+		p.mu.Unlock()
+		// Settled before the hook landed: the completion beat us
+		// (cancellation is impossible — p was not yet visible).
+	}
+	return p
 }

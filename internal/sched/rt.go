@@ -58,9 +58,6 @@ type Options struct {
 	// DisableFrameCancellation turns off the §8.1 adjacent-frame
 	// cancellation (ablation switch for experiment E7).
 	DisableFrameCancellation bool
-	// ExternalEvents sizes the external completion queue (I/O manager,
-	// input injection). Default 1024.
-	ExternalEvents int
 	// Shards is the number of shards the engine runs on: worker
 	// goroutines with per-shard run queues, timer heaps and mailboxes,
 	// plus work stealing (see shard.go and docs/PARALLEL.md). 0 or 1
@@ -106,11 +103,11 @@ var (
 // and the per-shard interpreter state, stepped by one goroutine at a
 // time. Together the shards of an engine hold Figure 2's program state
 // (threads and MVars evolving by transitions) plus the scheduling
-// machinery of §8. The RT that NewRT returns is shard 0, which also
-// receives the external-event queue; everything shared between shards
+// machinery of §8. The RT that NewRT returns is shard 0, whose mailbox
+// also carries External callbacks; everything shared between shards
 // lives in the engine (shard.go). Shard-private state is owned by the
 // goroutine stepping the shard; other goroutines communicate only
-// through External and the mailbox.
+// through the mailbox, which External enters.
 type RT struct {
 	opts Options
 
@@ -127,13 +124,13 @@ type RT struct {
 
 	rng *rand.Rand
 
-	events chan extEvent
-
-	// simExt holds externals drained from events but not yet applied:
-	// under simulation their application order is a recorded decision
-	// (PickExternal), so the drain buffers here first. simDrng is the
-	// simulation driver's own seeded decision stream (see simRng).
-	simExt  []extEvent
+	// simExt holds msgExternal messages taken from the mailbox but not
+	// yet applied: under simulation their application order is a
+	// recorded decision (PickExternal), so the mailbox drain holds them
+	// here and applyExternalsSim applies them at the end of the turn.
+	// simDrng is the simulation driver's own seeded decision stream
+	// (see simRng).
+	simExt  []shardMsg
 	simDrng *simXorshift
 
 	stats Stats
@@ -166,12 +163,6 @@ type RT struct {
 	// charge against Options.MaxSteps (see runSlice).
 	fuelSeen uint64
 
-	// extN counts external events sitting in the events channel
-	// (incremented by External before the send, decremented by the
-	// drain after each receive), so the scheduler hot loop probes one
-	// atomic instead of a channel select per iteration.
-	extN atomic.Int64
-
 	// smu guards the run queue, timer heap, overflow mailbox and
 	// statsSnap.
 	eng     *engine
@@ -202,7 +193,7 @@ type RT struct {
 	qlen atomic.Int32
 	// idling marks the worker as parked (or about to park) in
 	// idleShard. Wakes are Dekker-paired with it: a producer raises
-	// its counter (mailN/extN/qlen) and then wakes only an idling
+	// its counter (mailN/qlen) and then wakes only an idling
 	// shard; the worker sets idling and then re-checks every counter
 	// before sleeping, so one side always observes the other.
 	idling atomic.Bool
@@ -225,16 +216,12 @@ func NewRT(opts Options) *RT {
 	if opts.TimeSlice <= 0 {
 		opts.TimeSlice = 50
 	}
-	if opts.ExternalEvents <= 0 {
-		opts.ExternalEvents = 1024
-	}
 	if opts.Shards < 1 {
 		opts.Shards = 1
 	}
 	rt := &RT{
-		opts:   opts,
-		events: make(chan extEvent, opts.ExternalEvents),
-		rng:    rand.New(rand.NewSource(opts.Seed)),
+		opts: opts,
+		rng:  rand.New(rand.NewSource(opts.Seed)),
 	}
 	rt.bindSimCaps()
 	rt.console = &console{in: []rune(opts.Stdin), mirror: opts.Stdout}
@@ -271,20 +258,12 @@ func (rt *RT) Thread(id ThreadID) *Thread { return rt.eng.lookup(id) }
 // MainThread returns the main thread (valid during and after RunMain).
 func (rt *RT) MainThread() *Thread { return rt.eng.mainThread }
 
-// extEvent is one queued external callback. The label identifies the
-// event source for the deterministic-simulation log (0 = unlabeled):
-// replay uses it to restore the recorded application order when
-// several externals are buffered at once.
-type extEvent struct {
-	label uint64
-	f     func(*RT)
-}
-
 // External schedules f to run inside the scheduler loop, on shard 0.
 // It is the only safe way for other goroutines (I/O manager
 // completions, signal handlers, test drivers) to touch runtime state.
-// It never blocks the scheduler; it may block the caller when the
-// queue is full.
+// f travels as a msgExternal through shard 0's mailbox, so it never
+// blocks the caller or the scheduler: a flood fills the ring and then
+// the overflow list, like any other cross-shard traffic.
 func (rt *RT) External(f func(*RT)) {
 	rt.ExternalLabeled(0, f)
 }
@@ -295,13 +274,7 @@ func (rt *RT) External(f func(*RT)) {
 // match arrival orders across runs.
 func (rt *RT) ExternalLabeled(label uint64, f func(*RT)) {
 	e := rt.eng
-	s0 := e.shards[0]
-	e.msgs.Add(1)
-	s0.extN.Add(1)
-	s0.events <- extEvent{label: label, f: f}
-	if s0.idling.Load() {
-		s0.wake()
-	}
+	e.send(e.shards[0], shardMsg{kind: msgExternal, seq: label, v: f})
 }
 
 // Spawn creates an unmasked thread running m with no parent and
@@ -715,27 +688,30 @@ func (rt *RT) detachParked(t *Thread) bool {
 	case parkThrowTo:
 		// A synchronous thrower interrupted while waiting withdraws
 		// its in-flight exception (GHC behaviour; see DESIGN.md §5).
-		tgt := pk.target
-		if own := tgt.owner.Load(); own != rt {
-			rt.eng.send(own, shardMsg{kind: msgWithdraw, t: tgt, waiter: t})
-			return true
-		}
-		// Local target: the withdraw mutates its pending queue, so hold
-		// the shard lock against a concurrent steal of a runnable
-		// target.
-		rt.smu.Lock()
-		defer rt.smu.Unlock()
-		for i, p := range tgt.pending {
-			if p.waiter == t {
-				copy(tgt.pending[i:], tgt.pending[i+1:])
-				tgt.pending[len(tgt.pending)-1] = pendingExc{}
-				tgt.pending = tgt.pending[:len(tgt.pending)-1]
-				break
-			}
-		}
-		return true
+		rt.withdraw(pk.target, t)
 	}
 	return true
+}
+
+// withdraw removes waiter's in-flight synchronous exception from tgt's
+// pending queue. Ownership is checked under the shard lock, which a
+// thief must hold to take a runnable tgt, so the queue is edited only
+// while this shard owns it; otherwise the withdraw is forwarded to the
+// owner as a msgWithdraw.
+func (rt *RT) withdraw(tgt, waiter *Thread) {
+	rt.smu.Lock()
+	if own := tgt.owner.Load(); own != rt {
+		rt.smu.Unlock()
+		rt.eng.send(own, shardMsg{kind: msgWithdraw, t: tgt, waiter: waiter})
+		return
+	}
+	for i := range tgt.pending {
+		if tgt.pending[i].waiter == waiter {
+			tgt.dequeuePendingAt(i)
+			break
+		}
+	}
+	rt.smu.Unlock()
 }
 
 // interruptStuck implements rule (Interrupt): a stuck thread is woken

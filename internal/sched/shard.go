@@ -43,8 +43,8 @@ import (
 //
 // One shard (Shards <= 1, the default) is the same engine with nobody
 // to steal from and nobody else to send to: the locks are taken
-// uncontended, the mailbox carries only §9 synchronous throwTos, the
-// worker loop runs on RunMain's goroutine, and under the virtual clock
+// uncontended, the mailbox carries only External callbacks and §9
+// synchronous throwTos, the worker loop runs on RunMain's goroutine, and under the virtual clock
 // the schedule is deterministic. The simulation driver (sim.go) steps the
 // same shards through the same turn function from one goroutine.
 
@@ -73,6 +73,9 @@ const (
 	// receiving shard; it joins the target's signal queue (signals
 	// never interrupt parks).
 	msgSignal
+	// msgExternal runs an External callback (carried in v, its
+	// simulation label in seq) on shard 0, the only shard it is sent to.
+	msgExternal
 )
 
 // shardMsg is one mailbox entry.
@@ -83,7 +86,7 @@ type shardMsg struct {
 	e         exc.Exception
 	waiter    *Thread
 	waiterSeq uint64
-	seq       uint64 // parkSeq (msgWakeWaiter), sender tid (msgSignal)
+	seq       uint64 // parkSeq (msgWakeWaiter), sender tid (msgSignal), label (msgExternal)
 	// span and enqNS carry the obs span id and enqueue timestamp of a
 	// msgThrowTo/msgSignal across shards (see pendingExc/pendingSig).
 	span  uint64
@@ -181,7 +184,7 @@ type engine struct {
 	nextTimerSeq atomic.Uint64
 
 	runnable      atomic.Int64 // threads sitting in some run queue
-	msgs          atomic.Int64 // mailbox messages (and external events) in flight
+	msgs          atomic.Int64 // mailbox messages (External callbacks included) in flight
 	outstandingIO atomic.Int64
 	live          atomic.Int64 // live (unfinished) threads
 	now           atomic.Int64 // runtime clock, ns
@@ -333,25 +336,25 @@ func (rt *RT) workerLoop() {
 	rt.publishStats()
 }
 
-// turn is one scheduler iteration on this shard: apply queued external
-// events (shard 0) and mailbox messages, then run one time slice of
+// turn is one scheduler iteration on this shard: apply queued mailbox
+// messages (External callbacks among them), then run one time slice of
 // local — or stolen — work. It reports whether a thread ran. Up to the
 // pick the steady-state turn is lock- and channel-free: the mailbox,
-// the external-event queue, the run queues and the real clock are all
-// probed through atomic flags/counters, and the heavier machinery
-// behind each one runs only when its flag says there is something to
-// do. Workers and the simulation driver both step shards through here.
+// the run queues and the real clock are all probed through atomic
+// flags/counters, and the heavier machinery behind each one runs only
+// when its flag says there is something to do. Workers and the
+// simulation driver both step shards through here.
 func (rt *RT) turn() bool {
 	rt.iter++
 	if rt.statsReq.Load() || rt.iter&63 == 0 {
 		rt.statsReq.Store(false)
 		rt.publishStats()
 	}
-	if rt.shardID == 0 && (rt.extN.Load() > 0 || len(rt.simExt) > 0) {
-		rt.drainExternalShard()
-	}
 	if rt.mailN.Load() > 0 {
 		rt.processMailbox()
+		if len(rt.simExt) > 0 {
+			rt.applyExternalsSim()
+		}
 	}
 	if rt.opts.Clock == RealClock && rt.iter&31 == 0 {
 		rt.syncRealClockShard()
@@ -385,27 +388,6 @@ func (rt *RT) publishStats() {
 	rt.smu.Unlock()
 	if rt.olog != nil {
 		rt.olog.Flush()
-	}
-}
-
-// drainExternalShard runs queued External callbacks on shard 0
-// (External's contract: the closures run inside the scheduler). The
-// caller has seen extN > 0; each receive pays the counter back. Under
-// simulation the application order is the source's (drainExternalSim).
-func (rt *RT) drainExternalShard() {
-	if src := rt.opts.Sim; src != nil {
-		rt.drainExternalSim(src)
-		return
-	}
-	for {
-		select {
-		case ev := <-rt.events:
-			rt.extN.Add(-1)
-			ev.f(rt)
-			rt.eng.msgs.Add(-1)
-		default:
-			return
-		}
 	}
 }
 
@@ -478,6 +460,17 @@ func (rt *RT) processMailbox() {
 // applyMsg handles one mailbox message on the owning shard.
 func (rt *RT) applyMsg(m shardMsg) {
 	e := rt.eng
+	if m.kind == msgExternal {
+		// External's contract: the callback runs inside the scheduler.
+		// Under simulation the application order is the source's, so
+		// the callback is held for applyExternalsSim.
+		if rt.opts.Sim != nil {
+			rt.simExt = append(rt.simExt, m)
+		} else {
+			m.v.(func(*RT))(rt)
+		}
+		return
+	}
 	if s := rt.opts.Sim; s != nil {
 		var tid ThreadID
 		if m.t != nil {
@@ -525,22 +518,7 @@ func (rt *RT) applyMsg(m shardMsg) {
 		}
 
 	case msgWithdraw:
-		rt.smu.Lock()
-		if m.t.owner.Load() != rt {
-			rt.smu.Unlock()
-			e.send(m.t.owner.Load(), m)
-			return
-		}
-		tgt := m.t
-		for i := range tgt.pending {
-			if tgt.pending[i].waiter == m.waiter {
-				copy(tgt.pending[i:], tgt.pending[i+1:])
-				tgt.pending[len(tgt.pending)-1] = pendingExc{}
-				tgt.pending = tgt.pending[:len(tgt.pending)-1]
-				break
-			}
-		}
-		rt.smu.Unlock()
+		rt.withdraw(m.t, m.waiter)
 
 	case msgAdopt:
 		// Owned by this shard from birth and never enqueued anywhere, so
@@ -756,14 +734,11 @@ func (rt *RT) nextTimerAtLocked() (int64, bool) {
 
 // hasWork reports whether this worker has anything actionable: a
 // finished run, local runnable work (or a kept thread), pending
-// mailbox or external messages, or a sibling with queued threads to
-// steal. All probes are lock-free.
+// mailbox messages, or a sibling with queued threads to steal. All
+// probes are lock-free.
 func (rt *RT) hasWork() bool {
 	e := rt.eng
 	if e.stopped.Load() || rt.kept != nil || rt.qlen.Load() > 0 || rt.mailN.Load() > 0 {
-		return true
-	}
-	if rt.shardID == 0 && rt.extN.Load() > 0 {
 		return true
 	}
 	for _, s := range e.shards {
@@ -823,7 +798,7 @@ func (rt *RT) idleShard() error {
 		}
 	}
 	rt.idling.Store(true)
-	// Dekker pairing: producers raise mailN/extN/qlen first and then
+	// Dekker pairing: producers raise mailN/qlen first and then
 	// check idling; we set idling first and then re-check the
 	// counters. Whatever the interleaving, either they see idling and
 	// wake us or we see their work and refuse to park.

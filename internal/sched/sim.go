@@ -161,8 +161,8 @@ type SimSource interface {
 	// bitmask of shards with queued work. -1 = seeded choice, -2 = do
 	// not steal this turn.
 	PickSteal(thief int, candidates uint32) int
-	// PickExternal orders buffered external events; labels are the
-	// events' labels in arrival order. -1 = FIFO.
+	// PickExternal orders held-back External callbacks; labels are
+	// their labels in arrival order. -1 = FIFO.
 	PickExternal(labels []uint64) int
 	// Observe receives every decision and delivery, in order.
 	Observe(ev SimEvent)
@@ -270,42 +270,30 @@ func (rt *RT) simDequeuePending(t *Thread) pendingExc {
 	return t.dequeuePending()
 }
 
-// drainExternalSim drains queued external events into the hold-back
-// buffer and applies them in source-chosen order (replay forces the
-// recorded arrival order; recording keeps FIFO and logs the labels).
-func (rt *RT) drainExternalSim(src SimSource) {
-	for {
-		for {
-			select {
-			case ev := <-rt.events:
-				rt.extN.Add(-1)
-				rt.simExt = append(rt.simExt, ev)
-				continue
-			default:
-			}
-			break
-		}
-		if len(rt.simExt) == 0 {
-			return
-		}
+// applyExternalsSim applies the External callbacks the mailbox drain
+// held back, in source-chosen order (replay forces the recorded arrival
+// order; recording keeps FIFO and logs the labels). Externals are
+// logged as SimExternal, never as SimMsg.
+func (rt *RT) applyExternalsSim() {
+	src := rt.opts.Sim
+	for len(rt.simExt) > 0 {
 		idx := 0
 		if rt.simPick && len(rt.simExt) > 1 {
 			labels := make([]uint64, len(rt.simExt))
 			for i := range rt.simExt {
-				labels[i] = rt.simExt[i].label
+				labels[i] = rt.simExt[i].seq
 			}
 			if p := src.PickExternal(labels); p >= 0 && p < len(rt.simExt) {
 				idx = p
 			}
 		}
 		n := len(rt.simExt)
-		ev := rt.simExt[idx]
+		m := rt.simExt[idx]
 		copy(rt.simExt[idx:], rt.simExt[idx+1:])
-		rt.simExt[len(rt.simExt)-1] = extEvent{}
-		rt.simExt = rt.simExt[:len(rt.simExt)-1]
-		src.Observe(SimEvent{Kind: SimExternal, Shard: uint8(rt.shardID), A: uint32(n), B: ev.label})
-		ev.f(rt)
-		rt.eng.msgs.Add(-1)
+		rt.simExt[n-1] = shardMsg{}
+		rt.simExt = rt.simExt[:n-1]
+		src.Observe(SimEvent{Kind: SimExternal, Shard: uint8(rt.shardID), A: uint32(n), B: m.seq})
+		m.v.(func(*RT))(rt)
 	}
 }
 
@@ -318,8 +306,7 @@ func (rt *RT) runSimulated() {
 	src := e.opts.Sim
 	for !e.stopped.Load() {
 		// A shard is a candidate for a turn when it has work of its own
-		// (a kept or queued thread, mailbox messages, shard-0 externals)
-		// or could steal (someone has queued threads and it has none) —
+		// (a kept or queued thread, mailbox messages) or could steal (someone has queued threads and it has none) —
 		// the same conditions that keep a live worker out of idleShard.
 		var busy, free uint32
 		anyQ := false
@@ -329,8 +316,7 @@ func (rt *RT) runSimulated() {
 			case s.qlen.Load() > 0:
 				busy |= bit
 				anyQ = true
-			case s.kept != nil || s.mailN.Load() > 0 ||
-				(i == 0 && (s.extN.Load() > 0 || len(s.simExt) > 0)):
+			case s.kept != nil || s.mailN.Load() > 0:
 				busy |= bit
 			default:
 				free |= bit
@@ -388,13 +374,12 @@ func (rt *RT) runSimulated() {
 
 // simAwaitOutside waits, with every shard quiescent, for a completion
 // from a real goroutine (I/O manager, cluster links) to arrive as a
-// mailbox message or external event, by polling. The wait itself is
-// not a scheduling decision and is not recorded — only the chosen
-// application order is.
+// mailbox message, by polling. The wait itself is not a scheduling
+// decision and is not recorded — only the chosen application order is.
 func (e *engine) simAwaitOutside() {
 	for !e.stopped.Load() {
 		for _, s := range e.shards {
-			if s.mailN.Load() > 0 || s.extN.Load() > 0 {
+			if s.mailN.Load() > 0 {
 				return
 			}
 		}

@@ -36,7 +36,7 @@ type Stats struct {
 	// exceptions. Supervision soak runs use it to audit kill volume.
 	Killed uint64
 	// SupervisorRestarts counts child restarts performed by
-	// internal/supervise supervisors (bumped through NoteRestart).
+	// internal/supervise supervisors (bumped through NoteRestartNamed).
 	SupervisorRestarts uint64
 	// Delivered counts asynchronous exceptions actually raised in
 	// their target (rules Receive and Interrupt); Interrupts counts

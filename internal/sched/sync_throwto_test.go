@@ -116,6 +116,73 @@ func TestSyncThrowerInterruptedWithdrawsException(t *testing.T) {
 	}
 }
 
+// TestSyncThrowerWithdrawRacesSteal: on two shards, synchronous
+// throwers park on a victim that stays masked and runnable, and are
+// then interrupted, so each withdraw races the steals that move the
+// victim between shards. The withdraw must check the victim's owner
+// under the shard lock a thief takes (run under -race: an unguarded
+// edit of a pending queue another shard is stepping is a data race).
+// The run must complete: every thrower and the victim report to main.
+func TestSyncThrowerWithdrawRacesSteal(t *testing.T) {
+	const throwers = 8
+	var steals, interrupts uint64
+	for seed := int64(0); seed < 20; seed++ {
+		opts := syncOpts()
+		opts.Shards = 2
+		opts.TimeSlice = 3
+		opts.RandomSched = true
+		opts.Seed = seed
+		main := sched.Bind(sched.NewEmptyMVar(), func(raw any) sched.Node {
+			done := raw.(*sched.MVar)
+			victim := sched.BlockUninterruptible(sched.Then(yields(400), sched.PutMVar(done, "victim")))
+			return sched.Bind(sched.Fork(victim), func(rawV any) sched.Node {
+				vid := rawV.(sched.ThreadID)
+				thrower := sched.Catch(
+					sched.Then(sched.ThrowTo(vid, exc.Dyn{Tag: "X"}), sched.PutMVar(done, "released")),
+					func(exc.Exception) sched.Node { return sched.PutMVar(done, "interrupted") })
+				var fork func(i int, ids []sched.ThreadID) sched.Node
+				fork = func(i int, ids []sched.ThreadID) sched.Node {
+					if i == throwers {
+						kills := []sched.Node{yields(int(seed % 5))}
+						for _, id := range ids {
+							kills = append(kills, sched.ThrowTo(id, exc.ThreadKilled{}))
+						}
+						for j := 0; j <= throwers; j++ {
+							kills = append(kills, sched.TakeMVar(done))
+						}
+						return seq(kills...)
+					}
+					return sched.Bind(sched.Fork(thrower), func(rawW any) sched.Node {
+						return fork(i+1, append(ids, rawW.(sched.ThreadID)))
+					})
+				}
+				return fork(0, nil)
+			})
+		})
+		res, rt := run(t, opts, main)
+		if res.Exc != nil {
+			t.Fatalf("seed %d: %v", seed, res.Exc)
+		}
+		st := rt.Stats()
+		steals += st.Steals
+		interrupts += st.Interrupts
+	}
+	t.Logf("%d steals, %d interrupted waits", steals, interrupts)
+	if steals == 0 || interrupts == 0 {
+		t.Fatal("no steal raced a withdraw")
+	}
+}
+
+// yields is n scheduler yields: a thread that stays runnable, and so
+// stealable, throughout.
+func yields(n int) sched.Node {
+	out := sched.ReturnUnit()
+	for i := 0; i < n; i++ {
+		out = sched.Then(sched.Yield(), out)
+	}
+	return out
+}
+
 // --- thread dump ------------------------------------------------------------
 
 func TestThreadDump(t *testing.T) {
