@@ -212,24 +212,49 @@ func pairOf[A, B any](r1, r2 eitherMsg[A, B]) Pair[A, B] {
 // ---------------------------------------------------------------------
 
 // Timeout limits the execution time of a: Just the result if a
-// finishes within d, Nothing otherwise (§7.3):
+// finishes within d, Nothing otherwise (§7.3). The paper defines it as
+// a race against a sleeping thread:
 //
 //	timeout t a = do r <- either (sleep t) a
 //	                 case r of Left _  -> return Nothing
 //	                           Right v -> return (Just v)
 //
-// Timeouts compose: they may be arbitrarily nested, and the semantics
-// of EitherIO ensures they cannot interfere with each other — the
-// wrapped computation needs no checkpoints or other modification, the
-// property the paper's conclusion singles out as requiring true
-// asynchronous exceptions.
+// Here the sleeper is folded into the caller's wait: a's result and
+// the deadline are two outcomes of one TakeMVarFor, so no second thread
+// is forked. As in EitherIO, a runs in a child forked inside Block with
+// only a unblocked, so a body that catches everything cannot break the
+// timeout (§9). On expiry or on the body's report the body is killed,
+// as EitherIO kills its children; an asynchronous exception e reaching
+// the waiting caller is forwarded to the body, which is killed, and
+// rethrown — what EitherIO does when its sleeper dies of e first. Every
+// outcome is thus one of the paper's. Timeouts nest freely without
+// interfering, and the wrapped computation needs no checkpoints — the
+// property the paper's conclusion credits to asynchronous exceptions.
 func Timeout[A any](d time.Duration, a IO[A]) IO[Maybe[A]] {
-	return Bind(EitherIO(Sleep(d), a), func(r Either[Unit, A]) IO[Maybe[A]] {
-		if r.IsLeft {
-			return Return(Nothing[A]())
-		}
-		return Return(Just(r.Right))
+	type msg = eitherMsg[Unit, A]
+	return Bind(NewEmptyMVar[msg](), func(m MVar[msg]) IO[Maybe[A]] {
+		return Block(Bind(ForkNamed(childB(m, a), "timeout.body"), func(bid ThreadID) IO[Maybe[A]] {
+			wait := Catch(FromNode[any](sched.TakeMVarFor(m.mv, d)), func(e Exception) IO[any] {
+				return Then(ThrowTo(bid, e), Then(KillThread(bid), Throw[any](e)))
+			})
+			return Bind(wait, func(r any) IO[Maybe[A]] {
+				return Then(KillThread(bid), decodeTimeout[A](r))
+			})
+		}))
 	})
+}
+
+// decodeTimeout turns what Timeout's wait returned — sched.Expired or
+// the body's report — into its result.
+func decodeTimeout[A any](r any) IO[Maybe[A]] {
+	rep, reported := r.(eitherMsg[Unit, A])
+	switch {
+	case !reported:
+		return Return(Nothing[A]())
+	case rep.tag == 2:
+		return Throw[Maybe[A]](rep.e)
+	}
+	return Return(Just(rep.b))
 }
 
 // TimeoutResult is the reified outcome of TryTimeout, distinguishing
@@ -258,17 +283,17 @@ func (r TimeoutResult[A]) Succeeded() bool { return !r.Expired && r.Exc == nil }
 // strings). The body's synchronous exceptions are captured with
 // CatchNonAlert, so alerts — an asynchronous KillThread aimed at the
 // caller, the §9 alert family — still propagate and cancellation
-// cannot be mistaken for a body failure. Composability is the paper's:
-// the budget race is EitherIO(Sleep d, ·), nesting freely.
+// cannot be mistaken for a body failure. The budget is Timeout's
+// deadline on the caller's own wait, nesting freely.
 func TryTimeout[A any](d time.Duration, a IO[A]) IO[TimeoutResult[A]] {
 	body := CatchNonAlert(
 		Map(a, func(v A) Attempt[A] { return Attempt[A]{Value: v} }),
 		func(e Exception) IO[Attempt[A]] { return Return(Attempt[A]{Exc: e}) })
-	return Bind(EitherIO(Sleep(d), body), func(r Either[Unit, Attempt[A]]) IO[TimeoutResult[A]] {
-		if r.IsLeft {
+	return Bind(Timeout(d, body), func(r Maybe[Attempt[A]]) IO[TimeoutResult[A]] {
+		if !r.IsJust {
 			return Return(TimeoutResult[A]{Expired: true})
 		}
-		return Return(TimeoutResult[A]{Value: r.Right.Value, Exc: r.Right.Exc})
+		return Return(TimeoutResult[A]{Value: r.Value.Value, Exc: r.Value.Exc})
 	})
 }
 

@@ -43,14 +43,13 @@ func Put[A any](m MVar[A], v A) IO[Unit] {
 	return IO[Unit]{sched.PutMVar(m.mv, v)}
 }
 
-// TryTake is a non-waiting Take: (value, true) when m was full.
+// TryTake is a non-waiting Take: Just the value when m was full.
 func TryTake[A any](m MVar[A]) IO[Maybe[A]] {
-	return FromNode[Maybe[A]](sched.Bind(sched.TryTakeMVar(m.mv), func(v any) sched.Node {
-		r := v.(sched.TryResult)
-		if !r.OK {
+	return FromNode[Maybe[A]](sched.Bind(sched.TakeMVarFor(m.mv, 0), func(v any) sched.Node {
+		if _, expired := v.(sched.Expired); expired {
 			return sched.Return(Nothing[A]())
 		}
-		return sched.Return(Just(r.Value.(A)))
+		return sched.Return(Just(v.(A)))
 	}))
 }
 

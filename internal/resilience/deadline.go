@@ -58,8 +58,8 @@ func noteDeadlineExpired() core.IO[core.Unit] {
 // parent deadline, passing the effective child deadline down so nested
 // layers can clamp to it in turn. Expiry raises ErrDeadlineExceeded in
 // the caller; the body is cancelled by the paper's timeout mechanism —
-// a masked-safe throwTo from the §7.3 either race — so its brackets and
-// Finally cleanups all run. A body exception is rethrown as itself:
+// a masked-safe throwTo from core.Timeout once the deadline on its wait
+// passes — so its brackets and Finally cleanups all run. A body exception is rethrown as itself:
 // callers can always tell "it was too slow" from "it failed".
 func WithDeadline[A any](parent Deadline, budget time.Duration, body func(Deadline) core.IO[A]) core.IO[A] {
 	return core.Bind(core.Now(), func(now int64) core.IO[A] {

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"math"
 	"syscall"
 	"testing"
 	"time"
@@ -66,6 +67,69 @@ func TestVirtualClockEqualDeadlinesWakeInArmOrder(t *testing.T) {
 }
 
 func drop(any) sched.Node { return sched.ReturnUnit() }
+
+// A sleep past the end of the clock saturates: the clock jumps to its
+// last instant instead of wrapping round to a negative reading.
+func TestSleepPastTheEndOfTheClock(t *testing.T) {
+	var readings []int64
+	now := sched.Bind(sched.Now(), func(v any) sched.Node {
+		readings = append(readings, v.(int64))
+		return sched.ReturnUnit()
+	})
+	rt := sched.NewRT(sched.DefaultOptions())
+	if _, err := rt.RunMain(seq(sched.Sleep(time.Millisecond), now, sched.Sleep(math.MaxInt64), now)); err != nil {
+		t.Fatal(err)
+	}
+	if len(readings) != 2 || readings[0] != int64(time.Millisecond) || readings[1] != math.MaxInt64 {
+		t.Fatalf("clock read %v, want [%d %d]", readings, int64(time.Millisecond), int64(math.MaxInt64))
+	}
+}
+
+// A put and a TakeMVarFor deadline falling on the same virtual instant
+// settle on exactly one outcome: the taker gets the value and the MVar
+// is left empty, or the taker expires and the MVar keeps the value.
+func TestTimedTakeTiesWithPut(t *testing.T) {
+	const d = 10 * time.Millisecond
+	counts := map[string]int{}
+	for _, shards := range []int{1, 2} {
+		for seed := int64(0); seed < 50; seed++ {
+			opts := sched.DefaultOptions()
+			opts.Shards = shards
+			opts.RandomSched = true
+			opts.TimeSlice = 1 + int(seed%3)
+			opts.Seed = seed
+			var got, left any
+			main := sched.Bind(sched.NewEmptyMVar(), func(raw any) sched.Node {
+				mv := raw.(*sched.MVar)
+				putter := seq(sched.Sleep(d), sched.PutMVar(mv, "value"))
+				// Odd seeds yield first, so the putter's sleep arms before
+				// the taker's deadline; even seeds arm the deadline first.
+				var first sched.Node = sched.ReturnUnit()
+				if seed%2 == 1 {
+					first = sched.Yield()
+				}
+				return seq(
+					sched.Bind(sched.Fork(putter), drop), first,
+					sched.Bind(sched.TakeMVarFor(mv, d), func(v any) sched.Node { got = v; return sched.ReturnUnit() }),
+					sched.Sleep(d),
+					sched.Bind(sched.TakeMVarFor(mv, 0), func(v any) sched.Node { left = v; return sched.ReturnUnit() }),
+				)
+			})
+			if res, _ := run(t, opts, main); res.Exc != nil {
+				t.Fatalf("shards=%d seed=%d: %v", shards, seed, res.Exc)
+			}
+			switch {
+			case got == "value" && left == sched.Expired{}:
+				counts["value"]++
+			case got == sched.Expired{} && left == "value":
+				counts["expired"]++
+			default:
+				t.Fatalf("shards=%d seed=%d: take got %v, MVar then held %v", shards, seed, got, left)
+			}
+		}
+	}
+	t.Logf("outcomes: %v", counts)
+}
 
 // --- real clock -------------------------------------------------------
 

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"sync"
+	"time"
 )
 
 // MVar is the synchronization primitive of Concurrent Haskell (§4): a
@@ -41,7 +42,7 @@ func (m *MVar) Name() string { return m.name }
 
 // Full reports whether the MVar currently holds a value. Like the
 // paper's semantics, this is only meaningful inside the scheduler;
-// user code should use TryTakeMVar for a race-free probe.
+// user code should use TakeMVarFor(mv, 0) for a race-free probe.
 func (m *MVar) Full() bool { return m.full }
 
 // String renders the MVar for traces.
@@ -58,11 +59,6 @@ func (rt *RT) newMVar(full bool, v any) *MVar {
 	return mv
 }
 
-// NewMVarDirect creates an MVar outside any thread; used by the typed
-// core API so that MVars can be threaded through program construction.
-// Safe only before RunMain or from within scheduler callbacks.
-func (rt *RT) NewMVarDirect(full bool, v any) *MVar { return rt.newMVar(full, v) }
-
 // takeFullLocked services a take against a full MVar; caller holds
 // mu. It returns the taken value and the putter whose
 // deposit was committed by the pop (to be woken after mu is released).
@@ -78,13 +74,26 @@ func (mv *MVar) takeFullLocked() (v any, woke *Thread) {
 	return v, woke
 }
 
+// noDeadline is takeMVar's d for an untimed TakeMVar.
+const noDeadline time.Duration = -1
+
+// Expired is the value TakeMVarFor returns when its deadline passed
+// with the MVar still empty.
+type Expired struct{}
+
 // takeMVar implements rule (TakeMVar) plus (Stuck TakeMVar) and the
 // §5.3 interruptibility rule. Called from the scheduler with the
-// running thread.
-func (rt *RT) takeMVar(t *Thread, mv *MVar) (Node, bool) {
+// running thread. d bounds the wait: noDeadline waits for ever, 0 does
+// not wait at all (the try case, which is therefore no interruption
+// point), and d > 0 parks with a deadline on this shard's heap, after
+// which the thread resumes with Expired.
+func (rt *RT) takeMVar(t *Thread, mv *MVar, d time.Duration) (Node, bool) {
 	mv.mu.Lock()
 	if !mv.full {
 		mv.mu.Unlock()
+		if d == 0 {
+			return retNode{Expired{}}, false
+		}
 		// Empty: the thread is about to become stuck, so takeMVar is an
 		// interruptible operation — pending exceptions are raised
 		// "right up until the point when it acquires the MVar" (§5.3).
@@ -105,7 +114,13 @@ func (rt *RT) takeMVar(t *Thread, mv *MVar) (Node, bool) {
 		rt.stats.MVarTakes++
 		return retNode{v}, false
 	}
-	rt.park(t, parkInfo{kind: parkTakeMVar, q: &mv.takers, mu: &mv.mu, id: mv.id})
+	pk := parkInfo{kind: parkTakeMVar, q: &mv.takers, mu: &mv.mu, id: mv.id}
+	if d > 0 {
+		// Armed before the thread joins the queue, so a put that pops it
+		// always finds the timer in the heap to cancel.
+		pk.timer = rt.armTimer(t, d)
+	}
+	rt.park(t, pk)
 	mv.mu.Unlock()
 	rt.stats.MVarTakeParks++
 	return nil, true
@@ -120,6 +135,10 @@ func (mv *MVar) putEmptyLocked(v any) (woke *Thread) {
 	if woke = mv.takers.pop(); woke == nil {
 		mv.full = true
 		mv.val = v
+	} else if tm := woke.park.timer; tm != nil {
+		// A timed taker's deadline leaves the heap with the commit; a
+		// timer already popped finds the taker gone from the queue.
+		cancelTimer(tm)
 	}
 	return woke
 }
@@ -154,22 +173,6 @@ func (rt *RT) putMVar(t *Thread, mv *MVar, v any) (Node, bool) {
 	mv.mu.Unlock()
 	rt.stats.MVarPutParks++
 	return nil, true
-}
-
-// tryTakeMVar is the non-parking variant: (value, true) on success.
-func (rt *RT) tryTakeMVar(mv *MVar) (any, bool) {
-	mv.mu.Lock()
-	if !mv.full {
-		mv.mu.Unlock()
-		return nil, false
-	}
-	v, woke := mv.takeFullLocked()
-	mv.mu.Unlock()
-	if woke != nil {
-		rt.deliverUnpark(woke, UnitValue, nil)
-	}
-	rt.stats.MVarTakes++
-	return v, true
 }
 
 // tryPutMVar is the non-parking variant: true when the value was

@@ -288,7 +288,22 @@ func NewMVar(v any) Node {
 // acquired (§5.3).
 func TakeMVar(mv *MVar) Node {
 	return primNode{name: "takeMVar", step: func(rt *RT, t *Thread) (Node, bool) {
-		return rt.takeMVar(t, mv)
+		return rt.takeMVar(t, mv, noDeadline)
+	}}
+}
+
+// TakeMVarFor is TakeMVar with a deadline on the wait itself: it returns
+// the taken value, or Expired{} when d passed with mv still empty.
+// Exactly one happens: a put that hands its value over cancels the
+// deadline, and a put after expiry leaves its value in mv. With d <= 0
+// it never parks — the non-waiting take — and so is not an
+// interruption point (§5.3).
+func TakeMVarFor(mv *MVar, d time.Duration) Node {
+	if d < 0 {
+		d = 0
+	}
+	return primNode{name: "takeMVarFor", step: func(rt *RT, t *Thread) (Node, bool) {
+		return rt.takeMVar(t, mv, d)
 	}}
 }
 
@@ -303,15 +318,6 @@ func PutMVar(mv *MVar, v any) Node {
 	}}
 }
 
-// TryTakeMVar is a non-parking TakeMVar: it returns (value, true) when
-// mv was full and (nil, false) otherwise. Never an interruption point.
-func TryTakeMVar(mv *MVar) Node {
-	return primNode{name: "tryTakeMVar", step: func(rt *RT, t *Thread) (Node, bool) {
-		v, ok := rt.tryTakeMVar(mv)
-		return retNode{TryResult{Value: v, OK: ok}}, false
-	}}
-}
-
 // TryPutMVar is a non-parking PutMVar: it returns true when it filled
 // mv (or handed the value to a waiting taker). Never an interruption
 // point.
@@ -321,11 +327,11 @@ func TryPutMVar(mv *MVar, v any) Node {
 	}}
 }
 
-// TryResult is the result of TryTakeMVar.
+// TryResult is the result of TryAwaitPromise.
 type TryResult struct {
-	// Value is the MVar's contents when OK.
+	// Value is the promise's value when OK.
 	Value any
-	// OK reports whether the take succeeded.
+	// OK reports whether the promise was resolved.
 	OK bool
 }
 

@@ -103,11 +103,6 @@ func (rt *RT) newPromise(name string) *Promise {
 	return p
 }
 
-// NewPromiseDirect creates a promise outside any thread; used by the
-// typed core API. Safe only before RunMain or from within scheduler
-// callbacks.
-func (rt *RT) NewPromiseDirect(name string) *Promise { return rt.newPromise(name) }
-
 // NewPromiseNode creates a promise from a running thread.
 func NewPromiseNode(name string) Node {
 	return primNode{name: "newPromise", step: func(rt *RT, t *Thread) (Node, bool) {
@@ -243,23 +238,6 @@ func (rt *RT) throwToAsyncFrom(fromID ThreadID, fromMask uint8, tid ThreadID, e 
 	}
 	span, enqNS := rt.obsEnqueue(tid, fromID, e, fromMask, 0)
 	rt.routeExc(target, pendingExc{e: e, span: span, enqNS: enqNS})
-}
-
-// BindPromiseProducer registers tid as p's producer so a later
-// cancellation propagates to it. If p was already cancelled (the
-// cancel won the race with registration) the producer is interrupted
-// immediately.
-func BindPromiseProducer(p *Promise, tid ThreadID) Node {
-	return primNode{name: "bindProducer", step: func(rt *RT, t *Thread) (Node, bool) {
-		p.mu.Lock()
-		p.producer = tid
-		already := p.state == promiseCancelled
-		p.mu.Unlock()
-		if already && tid != t.id {
-			rt.throwToAsync(t, tid, exc.PromiseCancelled{})
-		}
-		return retNode{UnitValue}, false
-	}}
 }
 
 // AsyncNode forks body as a producer thread of a fresh promise and

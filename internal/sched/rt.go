@@ -663,29 +663,29 @@ func (rt *RT) deliverUnpark(t *Thread, v any, e exc.Exception) {
 }
 
 // detachParked removes a parked thread from whatever wait queue holds
-// it, returning false when a committed wakeup got there first (the
-// thread was already popped from its wait queue and its wakeup message
-// is in flight).
+// it and cancels its deadline, returning false when a committed wakeup
+// got there first (the thread was already popped from its wait queue
+// and its wakeup message is in flight).
 func (rt *RT) detachParked(t *Thread) bool {
 	pk := t.park
-	switch pk.kind {
-	case parkTakeMVar, parkPutMVar, parkGetChar, parkPromise:
+	if pk.q != nil {
 		// A successful removal runs the park's cancel hook outside the
 		// lock: SpeculateNode's hook settles the promise itself,
 		// reaping every producer when the awaiter is torn down.
 		pk.mu.Lock()
 		ok := pk.q.remove(t)
 		pk.mu.Unlock()
-		if ok && pk.cancel != nil {
+		if !ok {
+			return false
+		}
+		if pk.cancel != nil {
 			pk.cancel()
 		}
-		return ok
-	case parkSleep:
-		// The heap entry goes stale: its live flag is cleared and the
-		// entry is skipped when it surfaces (lazy deletion).
-		pk.timerLive.Store(false)
-		return true
-	case parkThrowTo:
+	}
+	if pk.timer != nil {
+		cancelTimer(pk.timer)
+	}
+	if pk.kind == parkThrowTo {
 		// A synchronous thrower interrupted while waiting withdraws
 		// its in-flight exception (GHC behaviour; see DESIGN.md §5).
 		rt.withdraw(pk.target, t)

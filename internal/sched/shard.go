@@ -697,39 +697,20 @@ func (rt *RT) syncRealClockShard() {
 	rt.smu.Lock()
 	due := rt.popDueTimersLocked(nil, cur)
 	rt.smu.Unlock()
-	for _, en := range due {
-		// Rule (Sleep): the thread resumes with return ().
-		rt.unpark(en.t, UnitValue, nil)
+	for _, tm := range due {
+		rt.fireTimer(tm)
 	}
 }
 
-// popDueTimersLocked pops this shard's live timer entries with deadline
-// <= now, in (deadline, arm order), appending them to due; caller holds
-// the shard lock and unparks the sleepers after releasing it.
-func (rt *RT) popDueTimersLocked(due []timerEntry, now int64) []timerEntry {
-	for rt.timers.Len() > 0 && rt.timers.peek().at <= now {
-		en := heap.Pop(&rt.timers).(timerEntry)
+// popDueTimersLocked pops this shard's timers with deadline <= now, in
+// (deadline, arm order), appending them to due; caller holds the shard
+// lock and fires them after releasing it.
+func (rt *RT) popDueTimersLocked(due []*timer, now int64) []*timer {
+	for rt.timers.Len() > 0 && rt.timers[0].at <= now {
+		due = append(due, heap.Pop(&rt.timers).(*timer))
 		rt.timerN.Add(-1)
-		if en.live.Load() {
-			en.live.Store(false)
-			due = append(due, en)
-		}
 	}
 	return due
-}
-
-// nextTimerAtLocked returns this shard's earliest live deadline; caller
-// holds the shard lock.
-func (rt *RT) nextTimerAtLocked() (int64, bool) {
-	for rt.timers.Len() > 0 {
-		en := rt.timers.peek()
-		if en.live.Load() {
-			return en.at, true
-		}
-		heap.Pop(&rt.timers)
-		rt.timerN.Add(-1)
-	}
-	return 0, false
 }
 
 // hasWork reports whether this worker has anything actionable: a
@@ -821,8 +802,8 @@ func (rt *RT) idleShard() error {
 	}
 	if real && rt.timerN.Load() > 0 {
 		rt.smu.Lock()
-		if at, ok := rt.nextTimerAtLocked(); ok {
-			d := time.Duration(at - e.now.Load())
+		if len(rt.timers) > 0 {
+			d := time.Duration(rt.timers[0].at - e.now.Load())
 			if d < 0 {
 				d = 0
 			}
@@ -891,36 +872,38 @@ func (rt *RT) quiesceLocked() (bool, error) {
 	return true, rt.parallelDeadlock()
 }
 
-// earliestTimer scans every shard's heap for the earliest live timer.
+// earliestTimer scans every shard's heap for the earliest deadline.
 func (e *engine) earliestTimer() (int64, bool) {
 	best := int64(0)
 	ok := false
 	for _, s := range e.shards {
 		s.smu.Lock()
-		if at, live := s.nextTimerAtLocked(); live && (!ok || at < best) {
-			best, ok = at, true
+		if len(s.timers) > 0 && (!ok || s.timers[0].at < best) {
+			best, ok = s.timers[0].at, true
 		}
 		s.smu.Unlock()
 	}
 	return best, ok
 }
 
-// fireAllTimers pops due entries from every shard's heap and adopts the
-// sleepers onto the calling shard (safe under global quiescence; work
-// stealing rebalances afterwards). They wake in (deadline, arm order)
-// whichever heaps they sat in: arm sequence numbers are engine-wide.
+// fireAllTimers pops due timers from every shard's heap and adopts
+// their threads onto the calling shard (safe under global quiescence;
+// work stealing rebalances afterwards). They fire in (deadline, arm
+// order) whichever heaps they sat in: arm sequence numbers are
+// engine-wide. The merged list is sorted as a plain slice, since the
+// heap's Swap would rewrite the indices of timers that have left it.
 func (rt *RT) fireAllTimers(now int64) {
-	var due timerHeap
+	var due []*timer
 	for _, s := range rt.eng.shards {
 		s.smu.Lock()
 		due = s.popDueTimersLocked(due, now)
 		s.smu.Unlock()
 	}
-	sort.Sort(due)
-	for _, en := range due {
-		en.t.owner.Store(rt)
-		en.t.rt = rt
-		rt.unpark(en.t, UnitValue, nil)
+	sort.Slice(due, func(i, j int) bool { return due[i].before(due[j]) })
+	for _, tm := range due {
+		tm.t.owner.Store(rt)
+		tm.t.rt = rt
+		rt.fireTimer(tm)
 	}
 }
 

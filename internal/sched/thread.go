@@ -121,10 +121,9 @@ type parkInfo struct {
 	id uint64
 	// putVal is the value a parked putter is waiting to deposit.
 	putVal any
-	// timerLive marks a sleeping thread's heap entry as live; cleared
-	// on detach so the lazily-deleted entry is skipped when it
-	// surfaces.
-	timerLive *atomic.Bool
+	// timer is the deadline of a Sleep or a TakeMVarFor, cancelled when
+	// the park ends any other way.
+	timer *timer
 	// cancel is invoked when an interrupt detaches the thread from its
 	// wait queue (SpeculateNode's teardown).
 	cancel func()
