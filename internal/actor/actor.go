@@ -8,14 +8,15 @@
 // The design follows "An Exceptional Actor System" (Functional Pearl):
 // the paper's throwTo/mask/bracket primitives are the delivery
 // substrate. Locally a message goes into an MVar-built mailbox whose
-// receive is a real takeMVar — the one interruptible point in the
-// actor's loop, so a kill lands exactly where the paper's §5.3 rule
-// says it may. Remotely a message literally rides an asynchronous
+// receive parks on a real takeMVar — interruptible only while it
+// waits, so a kill lands exactly where the paper's §5.3 rule says it
+// may. Remotely a message literally rides an asynchronous
 // exception (cluster.MessageExc over cluster.ThrowTo): it unwinds the
 // target actor's parked receive, which catches it and feeds the
 // payload back into the mailbox. No new scheduler primitives exist —
-// delivery is MVar handoff locally and the existing cross-shard /
-// cross-node throwTo paths everywhere else.
+// locally a send rings an MVar doorbell and the woken receiver takes
+// the message from the queue itself; everywhere else delivery uses
+// the existing cross-shard / cross-node throwTo paths.
 package actor
 
 import (
@@ -224,7 +225,7 @@ func mintRef[M any](sys *System, def Def[M], mb *Mailbox[M], tid core.ThreadID) 
 func runActor[M any](sys *System, def Def[M], mb *Mailbox[M]) core.IO[core.Unit] {
 	loop := func() core.IO[core.Unit] { return actorLoop(sys, def, mb) }
 	// The whole incarnation runs under Block: registration, the loop
-	// (whose SafePoint and parked receive are the delivery points) and
+	// (whose SafePoint and receive are the delivery points) and
 	// the Finally'd unregistration. However the body was forked —
 	// supervisor child, cluster export, plain Spawn — no unmasked
 	// window exists around the registry bookkeeping.
@@ -241,13 +242,15 @@ func runActor[M any](sys *System, def Def[M], mb *Mailbox[M]) core.IO[core.Unit]
 
 // actorLoop is the receive loop. The whole loop runs under Block, so
 // the only interruption points are the SafePoint at each cycle's top
-// (a busy mailbox never parks, and a kill must still land somewhere)
-// and the parked receive itself — a message is either fully handled
-// or still queued, never half-handled, and no unmasked gap exists
-// between iterations. A remote message arrives as a MessageExc
-// unwinding one of those two points; the per-cycle catch decodes it
-// back into the mailbox and the loop continues. Everything else
-// (kills, Shutdown) propagates and becomes the actor's exit.
+// (a busy mailbox never parks, and a kill must still land somewhere),
+// the parked receive itself, and the receive's take of the mailbox
+// lock when another thread holds it (before parking or after a wake).
+// No message has left the queue at any of them, so a message is
+// either fully handled or still queued, never half-handled, and no
+// unmasked gap exists between iterations. A remote message arrives as
+// a MessageExc unwinding one of those points; the per-cycle catch
+// decodes it back into the mailbox and the loop continues. Everything
+// else (kills, Shutdown) propagates and becomes the actor's exit.
 func actorLoop[M any](sys *System, def Def[M], mb *Mailbox[M]) core.IO[core.Unit] {
 	handle := handler(def, mb)
 	cycle := core.Then(core.SafePoint(), core.Delay(handle))
@@ -270,14 +273,14 @@ func handler[M any](def Def[M], mb *Mailbox[M]) func() core.IO[core.Unit] {
 	}
 	if def.OnBatch != nil {
 		return func() core.IO[core.Unit] {
-			return core.Bind(mb.receiveAllE(), func(es []entry[M]) core.IO[core.Unit] {
-				return mask(core.Then(def.OnBatch(msgs(es)), noteHandle(mb.name, uint64(len(es)), es[0].span)))
+			return core.Bind(mb.receiveAll(), func(b core.Pair[[]M, uint64]) core.IO[core.Unit] {
+				return mask(core.Then(def.OnBatch(b.Fst), noteHandle(mb.name, uint64(len(b.Fst)), b.Snd)))
 			})
 		}
 	}
 	return func() core.IO[core.Unit] {
-		return core.Bind(mb.receiveE(nil), func(e entry[M]) core.IO[core.Unit] {
-			return mask(core.Then(def.OnMessage(e.msg), noteHandle(mb.name, 1, e.span)))
+		return core.Bind(mb.receiveOne(nil), func(m core.Pair[M, uint64]) core.IO[core.Unit] {
+			return mask(core.Then(def.OnMessage(m.Fst), noteHandle(mb.name, 1, m.Snd)))
 		})
 	}
 }

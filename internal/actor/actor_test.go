@@ -36,7 +36,7 @@ func TestMailboxFIFO(t *testing.T) {
 }
 
 func TestMailboxParkedReceive(t *testing.T) {
-	// Receiver parks first; the send hands off directly.
+	// Receiver parks first; the send rings it awake.
 	got := runOK(t, core.Bind(NewMailbox[string]("park"), func(mb *Mailbox[string]) core.IO[string] {
 		return core.Bind(core.Fork(core.Then(core.Sleep(time.Millisecond), mb.Send("hi"))),
 			func(core.ThreadID) core.IO[string] { return mb.Receive() })
@@ -69,7 +69,7 @@ func TestSelectiveReceive(t *testing.T) {
 
 func TestSelectiveReceiveParksPastNonMatching(t *testing.T) {
 	// A parked selective receiver must NOT be woken by a non-matching
-	// send; the message is buffered and the matching one hands off.
+	// send; the message is buffered and the matching one rings.
 	got := runOK(t, core.Bind(NewMailbox[int]("selpark"), func(mb *Mailbox[int]) core.IO[core.Pair[int, int]] {
 		sender := core.Then(core.Sleep(time.Millisecond),
 			core.Then(mb.Send(1), core.Then(core.Sleep(time.Millisecond), mb.Send(2))))

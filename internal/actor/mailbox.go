@@ -1,61 +1,88 @@
 package actor
 
 import (
-	"sort"
+	"slices"
 
 	"asyncexc/internal/core"
 	"asyncexc/internal/exc"
 	"asyncexc/internal/sched"
 )
 
-// entry is one queued message plus its bookkeeping: the arrival
-// sequence number (restores true arrival order if a handed-off message
-// has to be returned to the queue) and the obs span allocated at send
-// time (joins the send → deliver → handle trace chain).
-type entry[M any] struct {
-	seq  uint64
-	span uint64
-	msg  M
-}
-
-// waiter is a parked receiver: the hole its message will be handed
-// into and the selective-receive predicate it is waiting with (nil
-// accepts anything).
-type waiter[M any] struct {
-	hole core.MVar[entry[M]]
-	pred func(M) bool
-}
-
 // mState is the mailbox state held inside one MVar: the buffered
-// messages in arrival order, the parked receiver (at most one — a
-// mailbox has a single consumer, its actor), and the arrival counter.
+// messages in arrival order, their obs send spans in a parallel array
+// (no pointers, so the collector never scans it), and whether the
+// receiver — at most one, a mailbox has a single consumer — is parked
+// on the doorbell, with the selective-receive predicate a message must
+// satisfy to ring it (nil accepts anything).
 type mState[M any] struct {
-	buf []entry[M]
-	w   *waiter[M]
-	seq uint64
+	buf    []M
+	spans  []uint64
+	parked bool
+	pred   func(M) bool
+}
+
+// remove deletes buf[i]. slices.Delete zeroes the vacated slot, so the
+// backing array keeps no reference to a delivered message.
+func (s *mState[M]) remove(i int) {
+	s.buf = slices.Delete(s.buf, i, i+1)
+	s.spans = slices.Delete(s.spans, i, i+1)
+}
+
+// first removes and returns the oldest message satisfying pred (nil
+// accepts anything) and its send span; n is 0 when none does.
+func (s *mState[M]) first(pred func(M) bool) (m M, n int, span uint64) {
+	for i := range s.buf {
+		if pred == nil || pred(s.buf[i]) {
+			m, span = s.buf[i], s.spans[i]
+			s.remove(i)
+			return m, 1, span
+		}
+	}
+	return m, 0, 0
+}
+
+// drain hands over the whole buffer and the first message's send span.
+// The caller owns the returned slice: the mailbox starts a fresh
+// buffer, so a later send can never write into it. The spans array
+// holds no pointers and is kept for the next batch; its capacity is
+// the mailbox's high-water backlog, 8 bytes a message.
+func (s *mState[M]) drain() (ms []M, n int, span uint64) {
+	if len(s.buf) == 0 {
+		return nil, 0, 0
+	}
+	ms, span = s.buf, s.spans[0]
+	s.buf, s.spans = nil, s.spans[:0]
+	return ms, len(ms), span
 }
 
 // Mailbox is a typed actor mailbox built purely from the paper's
-// primitives: an MVar-guarded queue whose receive side parks on an
-// empty MVar — a real takeMVar — so an asynchronous exception lands
-// exactly where the paper's interruptible-operations rule (§5.3) says
-// it may: at the waiting receive, and nowhere inside the state
-// update. Sends never wait (the critical section contains only a Put
-// into a known-empty hole), the shape conc.Chan established.
+// primitives: an MVar-guarded queue plus a doorbell MVar the receiver
+// parks on while nothing it wants is queued. The park is a real
+// takeMVar, so an asynchronous exception lands exactly where the
+// paper's interruptible-operations rule (§5.3) says it may: at the
+// waiting receive, and nowhere inside the state update. A sender only
+// rings the bell; the woken receiver takes the lock and removes the
+// message itself, so a message never leaves the queue outside the
+// lock and a kill anywhere in a receive finds it still queued. Sends
+// never wait (the critical section contains only a Put into a
+// known-empty bell), the shape conc.Chan established.
 //
 // A mailbox is single-consumer: one actor drains it. A second
-// concurrent Receive raises an ErrorCall rather than corrupting the
-// waiter slot.
+// concurrent Receive raises an ErrorCall rather than parking a second
+// receiver on the one doorbell.
 type Mailbox[M any] struct {
 	name string
 	st   core.MVar[mState[M]]
+	bell core.MVar[core.Unit]
 }
 
 // NewMailbox creates an empty mailbox. The name labels its obs events
 // and stats; "" suppresses nothing (events still record).
 func NewMailbox[M any](name string) core.IO[*Mailbox[M]] {
 	return core.Bind(core.NewMVar(mState[M]{}), func(st core.MVar[mState[M]]) core.IO[*Mailbox[M]] {
-		return core.Return(&Mailbox[M]{name: name, st: st})
+		return core.Bind(core.NewEmptyMVar[core.Unit](), func(bell core.MVar[core.Unit]) core.IO[*Mailbox[M]] {
+			return core.Return(&Mailbox[M]{name: name, st: st, bell: bell})
+		})
 	})
 }
 
@@ -89,59 +116,47 @@ func locked[M, B any](mb *Mailbox[M], compute func(mState[M]) core.IO[core.Pair[
 	})
 }
 
-// push appends m (or hands it straight to a matching parked receiver)
-// inside an already-locked section; handed reports a handoff.
-func push[M any](s mState[M], m M, span uint64) (next mState[M], handoff core.IO[core.Unit], handed bool) {
-	s.seq++
-	e := entry[M]{seq: s.seq, span: span, msg: m}
-	if w := s.w; w != nil && (w.pred == nil || w.pred(m)) {
-		s.w = nil
-		// The hole is empty by construction: this Put cannot wait and
-		// hence cannot be interrupted (§5.3).
-		return s, core.Put(w.hole, e), true
+// ring finishes a send's critical section whose messages are s.buf[n:]:
+// if the parked receiver wants one of them, it is unparked and its
+// doorbell rung. The bell is empty whenever the receiver is parked, so
+// the Put cannot wait and hence cannot be interrupted (§5.3).
+func (mb *Mailbox[M]) ring(s mState[M], n int) core.IO[core.Pair[mState[M], core.Unit]] {
+	if !s.parked || (s.pred != nil && !slices.ContainsFunc(s.buf[n:], s.pred)) {
+		return core.Return(core.MkPair(s, core.UnitValue))
 	}
-	s.buf = append(s.buf, e)
-	return s, core.IO[core.Unit]{}, false
+	s.parked, s.pred = false, nil
+	return core.Then(core.Put(mb.bell, core.UnitValue), core.Return(core.MkPair(s, core.UnitValue)))
 }
 
-// Send enqueues m, handing it directly to a parked matching receiver
-// when there is one. It never waits for a consumer.
+// Send enqueues m, ringing a parked receiver that wants it. It never
+// waits for a consumer.
 func (mb *Mailbox[M]) Send(m M) core.IO[core.Unit] {
 	return core.Bind(noteSend(mb.name, 1), func(span uint64) core.IO[core.Unit] {
 		return locked(mb, func(s mState[M]) core.IO[core.Pair[mState[M], core.Unit]] {
-			s2, handoff, handed := push(s, m, span)
-			if handed {
-				return core.Then(handoff, core.Return(core.MkPair(s2, core.UnitValue)))
-			}
-			return core.Return(core.MkPair(s2, core.UnitValue))
+			s.buf = append(s.buf, m)
+			s.spans = append(s.spans, span)
+			return mb.ring(s, len(s.buf)-1)
 		})
 	})
 }
 
 // SendAll enqueues a batch in one critical section — the amortized
 // path high-throughput senders (the broker's fanout) use. Messages
-// keep their slice order; at most the first matching one is handed to
-// a parked receiver.
+// keep their slice order and are copied into the mailbox in one go;
+// ms stays the caller's.
 func (mb *Mailbox[M]) SendAll(ms []M) core.IO[core.Unit] {
 	if len(ms) == 0 {
 		return core.Return(core.UnitValue)
 	}
 	return core.Bind(noteSend(mb.name, uint64(len(ms))), func(span uint64) core.IO[core.Unit] {
 		return locked(mb, func(s mState[M]) core.IO[core.Pair[mState[M], core.Unit]] {
-			var handoffs core.IO[core.Unit]
-			var any bool
-			for _, m := range ms {
-				var h core.IO[core.Unit]
-				var handed bool
-				s, h, handed = push(s, m, span)
-				if handed {
-					handoffs, any = h, true // at most one: push clears the waiter
-				}
+			n := len(s.buf)
+			s.buf = append(s.buf, ms...)
+			s.spans = slices.Grow(s.spans, len(ms))
+			for range ms {
+				s.spans = append(s.spans, span)
 			}
-			if any {
-				return core.Then(handoffs, core.Return(core.MkPair(s, core.UnitValue)))
-			}
-			return core.Return(core.MkPair(s, core.UnitValue))
+			return mb.ring(s, n)
 		})
 	})
 }
@@ -152,14 +167,61 @@ func errConcurrentReceive(name string) core.Exception {
 	return exc.ErrorCall{Msg: "actor: concurrent Receive on single-consumer mailbox " + name}
 }
 
+// receive is the one receive loop. Under the lock, take removes what
+// the caller wants (n messages, the first sent under span). When
+// nothing fits, the receiver marks itself parked with pred and waits
+// on the doorbell — the paper's interruptible takeMVar, even under
+// Block (§5.3). A ring only says that something wanted has arrived:
+// the woken receiver goes round again and takes it under the lock
+// itself. So a kill that lands at the park, or on the re-lock after a
+// wake, finds every message still queued.
+func receive[M, R any](mb *Mailbox[M], pred func(M) bool, take func(*mState[M]) (R, int, uint64)) core.IO[core.Pair[R, uint64]] {
+	try := locked(mb, func(s mState[M]) core.IO[core.Pair[mState[M], core.Maybe[core.Pair[R, uint64]]]] {
+		if s.parked {
+			return core.Throw[core.Pair[mState[M], core.Maybe[core.Pair[R, uint64]]]](errConcurrentReceive(mb.name))
+		}
+		if got, n, span := take(&s); n > 0 {
+			return core.Then(noteDeliver(mb.name, uint64(n), span),
+				core.Return(core.MkPair(s, core.Just(core.MkPair(got, span)))))
+		}
+		s.parked, s.pred = true, pred
+		return core.Return(core.MkPair(s, core.Nothing[core.Pair[R, uint64]]()))
+	})
+	park := core.Catch(core.Take(mb.bell), func(e core.Exception) core.IO[core.Unit] {
+		return core.Then(mb.unhook(), core.Throw[core.Unit](e))
+	})
+	var loop core.IO[core.Pair[R, uint64]]
+	loop = core.Bind(try, func(got core.Maybe[core.Pair[R, uint64]]) core.IO[core.Pair[R, uint64]] {
+		if got.IsJust {
+			return core.Return(got.Value)
+		}
+		return core.Then(park, loop)
+	})
+	return core.Block(loop)
+}
+
+// unhook undoes an interrupted park: the receiver is unmarked, or, if a
+// sender rang the bell in the race, the ring is drained so the bell is
+// empty for the next park. Uninterruptible: abandoned halfway, it would
+// leave the receiver marked (the next receive would report a concurrent
+// one) or the bell full (the next ring's Put would wait inside the
+// lock).
+func (mb *Mailbox[M]) unhook() core.IO[core.Unit] {
+	return core.BlockUninterruptible(locked(mb, func(s mState[M]) core.IO[core.Pair[mState[M], core.Unit]] {
+		if s.parked {
+			s.parked, s.pred = false, nil
+			return core.Return(core.MkPair(s, core.UnitValue))
+		}
+		return core.Then(core.Void(core.TryTake(mb.bell)), core.Return(core.MkPair(s, core.UnitValue)))
+	}))
+}
+
 // Receive dequeues the oldest message, waiting while the mailbox is
 // empty. The wait is the paper's interruptible takeMVar: a throwTo
 // aimed at the actor lands there (or not at all until the next
 // receive, if the actor is busy handling under Block) — never between
-// dequeue and handler. If the receiver is interrupted while parked,
-// the mailbox is left exactly as it was: a message handed off in the
-// race is returned to its arrival position, so it is neither lost nor
-// duplicated.
+// dequeue and handler. A receiver interrupted while waiting leaves the
+// mailbox exactly as it was: no message left the queue.
 func (mb *Mailbox[M]) Receive() core.IO[M] {
 	return mb.ReceiveWhere(nil)
 }
@@ -169,144 +231,41 @@ func (mb *Mailbox[M]) Receive() core.IO[M] {
 // order — the ones that do not match, Erlang's save-queue semantics.
 // It parks like Receive when no buffered message matches.
 func (mb *Mailbox[M]) ReceiveWhere(pred func(M) bool) core.IO[M] {
-	return core.Map(mb.receiveE(pred), func(e entry[M]) M { return e.msg })
+	return core.Map(mb.receiveOne(pred), fst[M, uint64])
 }
 
-// receiveE is ReceiveWhere returning the full entry (the actor loop
-// threads its span into the handle event).
-func (mb *Mailbox[M]) receiveE(pred func(M) bool) core.IO[entry[M]] {
-	return core.Block(core.Bind(core.NewEmptyMVar[entry[M]](), func(hole core.MVar[entry[M]]) core.IO[entry[M]] {
-		return core.Bind(locked(mb, func(s mState[M]) core.IO[core.Pair[mState[M], core.Maybe[entry[M]]]] {
-			if s.w != nil {
-				return core.Throw[core.Pair[mState[M], core.Maybe[entry[M]]]](errConcurrentReceive(mb.name))
-			}
-			for i := range s.buf {
-				if pred == nil || pred(s.buf[i].msg) {
-					e := s.buf[i]
-					s.buf = append(s.buf[:i], s.buf[i+1:]...)
-					return core.Return(core.MkPair(s, core.Just(e)))
-				}
-			}
-			s.w = &waiter[M]{hole: hole, pred: pred}
-			return core.Return(core.MkPair(s, core.Nothing[entry[M]]()))
-		}), func(got core.Maybe[entry[M]]) core.IO[entry[M]] {
-			if got.IsJust {
-				return core.Then(noteDeliver(mb.name, 1, got.Value.span), core.Return(got.Value))
-			}
-			// The delivery point. Take on an empty MVar is interruptible
-			// even under Block (§5.3); on interruption the retraction
-			// runs uninterruptibly and restores the mailbox.
-			park := core.Catch(core.Take(hole), func(e core.Exception) core.IO[entry[M]] {
-				return core.Then(mb.retract(hole), core.Throw[entry[M]](e))
-			})
-			return core.Bind(park, func(e entry[M]) core.IO[entry[M]] {
-				return core.Then(noteDeliver(mb.name, 1, e.span), core.Return(e))
-			})
-		})
-	}))
-}
-
-// retract atomically deregisters a parked receive that was interrupted.
-// Two cases, decided while holding the mailbox lock: the waiter is
-// still registered (simply remove it), or a sender already handed a
-// message into the hole (drain it and re-insert at its arrival
-// position). Uninterruptible throughout — a second asynchronous
-// exception must not abandon the recovery halfway, or the handed-off
-// message would be lost.
-func (mb *Mailbox[M]) retract(hole core.MVar[entry[M]]) core.IO[core.Unit] {
-	return core.BlockUninterruptible(core.Bind(core.Take(mb.st), func(s mState[M]) core.IO[core.Unit] {
-		if s.w != nil && s.w.hole.Raw() == hole.Raw() {
-			s.w = nil
-			return core.Put(mb.st, s)
-		}
-		return core.Bind(core.TryTake(hole), func(r core.Maybe[entry[M]]) core.IO[core.Unit] {
-			if r.IsJust {
-				s.buf = insertBySeq(s.buf, r.Value)
-			}
-			return core.Put(mb.st, s)
-		})
-	}))
-}
-
-// insertBySeq re-inserts a recovered entry at its arrival position.
-func insertBySeq[M any](buf []entry[M], e entry[M]) []entry[M] {
-	i := sort.Search(len(buf), func(i int) bool { return buf[i].seq > e.seq })
-	buf = append(buf, entry[M]{})
-	copy(buf[i+1:], buf[i:])
-	buf[i] = e
-	return buf
+// receiveOne is ReceiveWhere with the message's send span (the actor
+// loop threads it into the handle event).
+func (mb *Mailbox[M]) receiveOne(pred func(M) bool) core.IO[core.Pair[M, uint64]] {
+	return receive(mb, pred, func(s *mState[M]) (M, int, uint64) { return s.first(pred) })
 }
 
 // ReceiveAll drains every buffered message in one critical section,
-// parking like Receive when the mailbox is empty and then sweeping up
-// whatever arrived behind the message that woke it. This is the
+// parking like Receive when the mailbox is empty. This is the
 // amortized receive the actor loop's batch mode uses: the per-message
-// cost of the locked section falls to O(1/batch).
+// cost of the locked section falls to O(1/batch). The returned slice
+// is the mailbox's own drained buffer, handed over without a copy; the
+// caller owns it.
 func (mb *Mailbox[M]) ReceiveAll() core.IO[[]M] {
-	return core.Map(mb.receiveAllE(), msgs[M])
+	return core.Map(mb.receiveAll(), fst[[]M, uint64])
 }
 
-// receiveAllE is ReceiveAll returning the full entries.
-func (mb *Mailbox[M]) receiveAllE() core.IO[[]entry[M]] {
-	return core.Block(core.Bind(core.NewEmptyMVar[entry[M]](), func(hole core.MVar[entry[M]]) core.IO[[]entry[M]] {
-		return core.Bind(locked(mb, func(s mState[M]) core.IO[core.Pair[mState[M], []entry[M]]] {
-			if s.w != nil {
-				return core.Throw[core.Pair[mState[M], []entry[M]]](errConcurrentReceive(mb.name))
-			}
-			if len(s.buf) > 0 {
-				out := s.buf
-				s.buf = nil
-				return core.Return(core.MkPair(s, out))
-			}
-			s.w = &waiter[M]{hole: hole}
-			return core.Return(core.MkPair(s, []entry[M](nil)))
-		}), func(got []entry[M]) core.IO[[]entry[M]] {
-			if got != nil {
-				return core.Then(noteDeliver(mb.name, uint64(len(got)), got[0].span), core.Return(got))
-			}
-			park := core.Catch(core.Take(hole), func(e core.Exception) core.IO[entry[M]] {
-				return core.Then(mb.retract(hole), core.Throw[entry[M]](e))
-			})
-			return core.Bind(park, func(first entry[M]) core.IO[[]entry[M]] {
-				// Sweep anything that raced in behind the handoff. The
-				// handed-off entry is already consumed and outside any
-				// retract's reach, so from here to the return nothing may
-				// admit a kill — in particular the sweep's lock
-				// acquisition (a takeMVar, interruptible under plain
-				// Block) must not. Hence uninterruptible.
-				return core.BlockUninterruptible(core.Bind(locked(mb, func(s mState[M]) core.IO[core.Pair[mState[M], []entry[M]]] {
-					rest := s.buf
-					s.buf = nil
-					return core.Return(core.MkPair(s, rest))
-				}), func(rest []entry[M]) core.IO[[]entry[M]] {
-					all := append([]entry[M]{first}, rest...)
-					return core.Then(noteDeliver(mb.name, uint64(len(all)), first.span), core.Return(all))
-				}))
-			})
-		})
-	}))
+// receiveAll is ReceiveAll with the first message's send span.
+func (mb *Mailbox[M]) receiveAll() core.IO[core.Pair[[]M, uint64]] {
+	return receive(mb, nil, (*mState[M]).drain)
 }
 
-func msgs[M any](es []entry[M]) []M {
-	out := make([]M, len(es))
-	for i := range es {
-		out[i] = es[i].msg
-	}
-	return out
-}
+// fst drops the span the public receives do not return.
+func fst[A, B any](p core.Pair[A, B]) A { return p.Fst }
 
 // TryReceive is a non-waiting Receive.
 func (mb *Mailbox[M]) TryReceive() core.IO[core.Maybe[M]] {
 	return locked(mb, func(s mState[M]) core.IO[core.Pair[mState[M], core.Maybe[M]]] {
-		if len(s.buf) == 0 {
+		m, n, span := s.first(nil)
+		if n == 0 {
 			return core.Return(core.MkPair(s, core.Nothing[M]()))
 		}
-		e := s.buf[0]
-		s.buf = s.buf[1:]
-		return core.Bind(core.FromNode[core.Unit](sched.NoteActorDeliver(mb.name, 1, e.span)),
-			func(core.Unit) core.IO[core.Pair[mState[M], core.Maybe[M]]] {
-				return core.Return(core.MkPair(s, core.Just(e.msg)))
-			})
+		return core.Then(noteDeliver(mb.name, 1, span), core.Return(core.MkPair(s, core.Just(m))))
 	})
 }
 

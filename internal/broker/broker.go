@@ -108,8 +108,13 @@ func NewTopic(sys *actor.System, name string) core.IO[Topic] {
 		OnBatch: func(cmds []Cmd) core.IO[core.Unit] {
 			// Subscription changes apply in arrival order first, then
 			// one fanout per subscriber for the whole batch's events —
-			// a single mailbox critical section per subscriber.
-			var evs []Event
+			// a single mailbox critical section per subscriber. The
+			// join is sized up front so it is allocated once.
+			n := 0
+			for _, c := range cmds {
+				n += len(c.Events)
+			}
+			evs := make([]Event, 0, n)
 			for _, c := range cmds {
 				if c.SubID != "" {
 					if _, ok := subs[c.SubID]; !ok {

@@ -56,9 +56,10 @@ func (r ActorReport) Failed() bool { return len(r.Violations) > 0 }
 // run every subscriber must see every event exactly once — zero lost,
 // zero duplicated. The guarantee rests on three mechanics under test:
 // the Uninterruptible handler (a drained batch is fanned out
-// atomically w.r.t. kills), the parked receive's retract path (a
-// handed-off message survives a kill at the park), and the
-// restart-surviving mailbox (AsChild creates it outside Start).
+// atomically w.r.t. kills), the doorbell receive (a message leaves the
+// queue only under the mailbox lock, so it survives a kill at the park
+// or on the re-lock after a wake), and the restart-surviving mailbox
+// (AsChild creates it outside Start).
 func RunActor(cfg ActorConfig) (ActorReport, error) {
 	var opts core.Options
 	if cfg.Shards > 1 {
