@@ -195,9 +195,10 @@ func TestCrossShardThrowToVsTimeoutExpiry(t *testing.T) {
 }
 
 // TestCrossShardThrowToKillStorm forks a crowd of victims parked inside
-// TryTimeout and kills them all: with the run queues saturated, the
-// stealers spread victims across shards, so some of the kills must
-// travel as cross-shard mailbox messages.
+// TryTimeout and kills them all. Victims alternate between shards 0
+// and 1 (ForkOn), so whichever shard the killer runs on, some of the
+// kills must travel as cross-shard mailbox messages — without relying
+// on the OS to give a second shard a steal.
 func TestCrossShardThrowToKillStorm(t *testing.T) {
 	const victims = 32
 	for _, shards := range []int{2, 4} {
@@ -223,7 +224,7 @@ func TestCrossShardThrowToKillStorm(t *testing.T) {
 					return core.Then(core.Sleep(time.Millisecond),
 						core.Then(kills, core.Then(await, core.Read(done))))
 				}
-				return core.Bind(core.Fork(victim), func(tid core.ThreadID) core.IO[int] {
+				return core.Bind(core.ForkOn(i%2, victim, "victim"), func(tid core.ThreadID) core.IO[int] {
 					return spawn(i-1, append(tids, tid))
 				})
 			}

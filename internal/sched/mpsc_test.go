@@ -245,8 +245,8 @@ func TestMailboxOverflowOrder(t *testing.T) {
 // TestMailboxOverflowConcurrent races many producers into the tiny
 // ring while the consumer drains, checking per-sender FIFO survives
 // messages bouncing between ring and overflow arbitrarily. Sender
-// identity rides in seq (msgWithdraw-shaped messages are not used —
-// msgAdopt keeps application observable via the run queue).
+// identity rides in the thread id of msgAdopt messages, whose
+// application is observable via the run queue.
 func TestMailboxOverflowConcurrent(t *testing.T) {
 	const producers = 4
 	const perProducer = 500

@@ -52,19 +52,14 @@ import (
 type shardMsgKind uint8
 
 const (
-	// msgThrowTo lands an asynchronous exception (with optional §9
-	// synchronous waiter) on a thread owned by the receiving shard.
+	// msgThrowTo lands an asynchronous exception (with the receipt of
+	// a §9 synchronous throwTo in v) on a thread owned by the receiving
+	// shard.
 	msgThrowTo shardMsgKind = iota
 	// msgUnpark resumes a thread whose wakeup another shard committed
 	// by popping it from a wait queue (MVar or console handoff, promise
 	// settlement) with a value or an exception; must-deliver.
 	msgUnpark
-	// msgWakeWaiter wakes a synchronous thrower once its exception was
-	// delivered (or its target died); droppable, guarded by parkSeq.
-	msgWakeWaiter
-	// msgWithdraw removes an interrupted synchronous thrower's
-	// in-flight exception from the target's pending queue.
-	msgWithdraw
 	// msgAdopt enqueues a freshly spawned thread on the shard it was
 	// pinned to (ForkOn): the thread was created already owned by the
 	// receiver and has never been in any run queue.
@@ -80,13 +75,11 @@ const (
 
 // shardMsg is one mailbox entry.
 type shardMsg struct {
-	kind      shardMsgKind
-	t         *Thread
-	v         any
-	e         exc.Exception
-	waiter    *Thread
-	waiterSeq uint64
-	seq       uint64 // parkSeq (msgWakeWaiter), sender tid (msgSignal), label (msgExternal)
+	kind shardMsgKind
+	t    *Thread
+	v    any
+	e    exc.Exception
+	seq  uint64 // sender tid (msgSignal), label (msgExternal)
 	// span and enqNS carry the obs span id and enqueue timestamp of a
 	// msgThrowTo/msgSignal across shards (see pendingExc/pendingSig).
 	span  uint64
@@ -480,7 +473,8 @@ func (rt *RT) applyMsg(m shardMsg) {
 	}
 	switch m.kind {
 	case msgThrowTo:
-		if !rt.deliverLocal(m.t, pendingExc{e: m.e, waiter: m.waiter, waiterSeq: m.waiterSeq, span: m.span, enqNS: m.enqNS}) {
+		r, _ := m.v.(*Promise)
+		if !rt.deliverLocal(m.t, pendingExc{e: m.e, receipt: r, span: m.span, enqNS: m.enqNS}) {
 			e.send(m.t.owner.Load(), m)
 		}
 
@@ -502,23 +496,6 @@ func (rt *RT) applyMsg(m shardMsg) {
 		} else {
 			rt.smu.Unlock()
 		}
-
-	case msgWakeWaiter:
-		t := m.t
-		rt.smu.Lock()
-		if t.owner.Load() != rt {
-			rt.smu.Unlock()
-			e.send(t.owner.Load(), m)
-			return
-		}
-		if t.status == statusParked && t.park.kind == parkThrowTo && t.parkSeq == m.seq {
-			rt.unparkQueuedLocked(t, retNode{UnitValue})
-		} else {
-			rt.smu.Unlock()
-		}
-
-	case msgWithdraw:
-		rt.withdraw(m.t, m.waiter)
 
 	case msgAdopt:
 		// Owned by this shard from birth and never enqueued anywhere, so
@@ -931,7 +908,7 @@ func (rt *RT) parallelDeadlock() error {
 		t.owner.Store(rt)
 		t.rt = rt
 		span, enqNS := rt.obsEnqueue(t.id, 0, exc.BlockedIndefinitely{}, obs.MaskUnknown, obs.FlagDeadlock)
-		rt.interruptStuck(t, pendingExc{e: exc.BlockedIndefinitely{}, span: span, enqNS: enqNS}, false)
+		rt.interruptStuck(t, pendingExc{e: exc.BlockedIndefinitely{}, span: span, enqNS: enqNS})
 	}
 	return nil
 }

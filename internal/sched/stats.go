@@ -89,7 +89,10 @@ type Stats struct {
 	// PromisesCancelled count settlements (their sum never exceeds
 	// PromisesCreated: resolve-once). Awaits counts outcomes observed
 	// by awaiters (immediately or after parking); AwaitParks counts
-	// the subset that had to park.
+	// the subset that had to park. Under Options.SyncThrowTo each
+	// synchronous throwTo also counts one promise created (its
+	// receipt) and one resolved (delivered, plus one Await) or
+	// cancelled (withdrawn); AwaitParks is unaffected.
 	PromisesCreated   uint64
 	PromisesResolved  uint64
 	PromisesCancelled uint64
