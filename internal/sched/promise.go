@@ -116,8 +116,15 @@ func NewPromiseNode(name string) Node {
 // losers observe false. Must run inside the scheduler (any shard; the
 // transition itself is guarded by p.mu).
 func (rt *RT) settlePromise(p *Promise, v any, e exc.Exception, cancelled bool) bool {
+	return rt.settle(p, v, e, cancelled, nil)
+}
+
+// settle is settlePromise plus, for detachParked, a thread parked on p
+// to detach: the call wins only by removing it from p's waiters in the
+// same critical section, and loses if a settlement popped it first.
+func (rt *RT) settle(p *Promise, v any, e exc.Exception, cancelled bool, detach *Thread) bool {
 	p.mu.Lock()
-	if p.state != promisePending {
+	if p.state != promisePending || detach != nil && !p.waiters.remove(detach) {
 		p.mu.Unlock()
 		return false
 	}
@@ -268,7 +275,7 @@ func AsyncNode(name string, body Node) Node {
 // PromiseCancelled. No derived promise, no settlement chains, and no
 // kill-and-respawn: the §7.2 pattern of nested racing pairs is
 // replaced by one scheduler object. The await is interruptible per
-// §5.3; if the caller is torn down while parked, the detach hook
+// §5.3; if the caller is torn down while parked, its detach
 // cancels the promise, which reaps every producer — no thread leaks.
 // The caller's mask is inherited by the producers; bodies are
 // Unblock-wrapped by the core layer so alternatives run unmasked.
@@ -293,9 +300,7 @@ func SpeculateNode(name string, bodies []Node) Node {
 		for _, child := range children {
 			rt.publish(child, t.id)
 		}
-		return rt.awaitPromiseCancel(t, p, func() {
-			rt.settlePromise(p, nil, nil, true)
-		})
+		return rt.awaitPromise(t, p, p)
 	}}
 }
 
@@ -307,30 +312,24 @@ func SpeculateNode(name string, bodies []Node) Node {
 // asynchronous exceptions first, exactly like takeMVar.
 func AwaitPromise(p *Promise) Node {
 	return primNode{name: "awaitPromise", step: func(rt *RT, t *Thread) (Node, bool) {
-		return rt.awaitPromise(t, p)
+		return rt.awaitPromise(t, p, nil)
 	}}
 }
 
-func (rt *RT) awaitPromise(t *Thread, p *Promise) (Node, bool) {
-	return rt.awaitPromiseCancel(t, p, nil)
-}
-
-// awaitPromiseCancel is awaitPromise with a detach hook: cancel (may
-// be nil) runs if the parked awaiter is interrupted away — the window
-// where SpeculateNode must cancel the speculation so producers do not
-// leak. It is stored in the park record and invoked by detachParked
-// after a successful removal.
-func (rt *RT) awaitPromiseCancel(t *Thread, p *Promise, cancel func()) (Node, bool) {
+// awaitPromise is AwaitPromise's step. cancel is nil or p itself: the
+// park record's cancel, which an awaiter interrupted away cancels, so a
+// torn-down SpeculateNode or LaunchAwait leaks no producer or result.
+func (rt *RT) awaitPromise(t *Thread, p, cancel *Promise) (Node, bool) {
 	p.mu.Lock()
 	if p.state == promisePending {
 		p.mu.Unlock()
 		// Pending: the thread is about to become stuck, so await is an
 		// interruptible operation (§5.3). Abandoning the await here is
-		// the same teardown as an interrupt while parked: the cancel
-		// hook runs.
+		// the same teardown as an interrupt while parked: p is
+		// cancelled.
 		if n, interrupted := t.raisePendingForPark(); interrupted {
 			if cancel != nil {
-				cancel()
+				rt.settlePromise(cancel, nil, nil, true)
 			}
 			return n, false
 		}
@@ -413,8 +412,8 @@ func LaunchPromise(name string, start func(complete func(v any, e exc.Exception)
 // scheduler primitive, with no delivery point between them. A pending
 // interruptible exception is raised before anything starts; once the
 // operation is launched, an interrupt that detaches the parked waiter
-// cancels the promise in the same step (the detach hook SpeculateNode
-// uses), so the cancel hook runs and a late result always reaches
+// cancels the promise in the same critical section (as SpeculateNode's
+// does), so the cancel hook runs and a late result always reaches
 // dropped. The wait is interruptible exactly when an MVar take would
 // be: under Unmasked and Block, not under BlockUninterruptible.
 func LaunchAwait(name string, start func(complete func(v any, e exc.Exception)) (cancel func()), dropped func(v any, e exc.Exception)) Node {
@@ -423,9 +422,7 @@ func LaunchAwait(name string, start func(complete func(v any, e exc.Exception)) 
 			return n, false
 		}
 		p := rt.launchPromise(name, start, dropped)
-		return rt.awaitPromiseCancel(t, p, func() {
-			rt.settlePromise(p, nil, nil, true)
-		})
+		return rt.awaitPromise(t, p, p)
 	}}
 }
 
