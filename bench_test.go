@@ -385,25 +385,6 @@ func BenchmarkPoolSubmitWait(b *testing.B) {
 	mustRun(b, core.DefaultOptions(), prog)
 }
 
-// BenchmarkBarrierRound measures one full round of a 4-party barrier.
-func BenchmarkBarrierRound(b *testing.B) {
-	const parties = 4
-	prog := core.Bind(conc.NewBarrier(parties), func(bar conc.Barrier) core.IO[core.Unit] {
-		return core.Bind(conc.NewQSemN(0), func(done conc.QSemN) core.IO[core.Unit] {
-			party := core.Then(
-				core.ReplicateM_(b.N, core.Void(bar.Await())),
-				done.Signal(1))
-			forks := core.Return(core.UnitValue)
-			for i := 0; i < parties; i++ {
-				forks = core.Then(forks, core.Void(core.Fork(party)))
-			}
-			return core.Then(forks, done.Wait(parties))
-		})
-	})
-	b.ResetTimer()
-	mustRun(b, core.DefaultOptions(), prog)
-}
-
 // BenchmarkMapConcurrently measures a 16-way structured fan-out per
 // iteration.
 func BenchmarkMapConcurrently(b *testing.B) {

@@ -108,193 +108,3 @@ func WithAsync[A, B any](m core.IO[A], inner func(Async[A]) core.IO[B]) core.IO[
 	return core.Bracket(Spawn(m), inner,
 		func(a Async[A]) core.IO[core.Unit] { return a.Cancel() })
 }
-
-// ---------------------------------------------------------------------
-// SampleVar (lossy single-slot sample)
-// ---------------------------------------------------------------------
-
-// SampleVar holds at most one sample: Write overwrites any unread
-// sample; ReadSample waits for a sample and empties the variable. The
-// classic Concurrent Haskell construction over two MVars.
-type SampleVar[A any] struct {
-	lock core.MVar[sampleState[A]]
-	wait core.MVar[A]
-}
-
-type sampleState[A any] struct {
-	hasValue bool
-	readers  int
-}
-
-// NewSampleVar creates an empty SampleVar.
-func NewSampleVar[A any]() core.IO[SampleVar[A]] {
-	return core.Bind(core.NewMVar(sampleState[A]{}), func(lock core.MVar[sampleState[A]]) core.IO[SampleVar[A]] {
-		return core.Bind(core.NewEmptyMVar[A](), func(wait core.MVar[A]) core.IO[SampleVar[A]] {
-			return core.Return(SampleVar[A]{lock: lock, wait: wait})
-		})
-	})
-}
-
-// Write stores a sample, overwriting an unread one and waking one
-// waiting reader if any.
-func (s SampleVar[A]) Write(v A) core.IO[core.Unit] {
-	return core.ModifyMVar(s.lock, func(st sampleState[A]) core.IO[sampleState[A]] {
-		switch {
-		case st.readers > 0:
-			st.readers--
-			return core.Then(core.Put(s.wait, v), core.Return(st))
-		case st.hasValue:
-			// Overwrite: drain the old sample, store the new one.
-			return core.Then(core.Void(core.Take(s.wait)),
-				core.Then(core.Put(s.wait, v), core.Return(st)))
-		default:
-			st.hasValue = true
-			return core.Then(core.Put(s.wait, v), core.Return(st))
-		}
-	})
-}
-
-// ReadSample waits for a sample and consumes it.
-func (s SampleVar[A]) ReadSample() core.IO[A] {
-	return core.Block(core.Bind(core.Take(s.lock), func(st sampleState[A]) core.IO[A] {
-		if st.hasValue {
-			st.hasValue = false
-			return core.Then(core.Put(s.lock, st), core.Take(s.wait))
-		}
-		st.readers++
-		return core.Then(core.Put(s.lock, st),
-			core.Catch(core.Take(s.wait), func(e core.Exception) core.IO[A] {
-				// Interrupted while waiting: retract our registration
-				// (or re-balance if a writer already served us).
-				return core.Then(core.ModifyMVar(s.lock, func(st2 sampleState[A]) core.IO[sampleState[A]] {
-					if st2.readers > 0 {
-						st2.readers--
-					}
-					return core.Return(st2)
-				}), core.Throw[A](e))
-			}))
-	}))
-}
-
-// ---------------------------------------------------------------------
-// BChan (bounded channel)
-// ---------------------------------------------------------------------
-
-// BChan is a bounded FIFO channel: writes wait while the channel holds
-// capacity items; reads wait while it is empty.
-type BChan[A any] struct {
-	ch    Chan[A]
-	slots QSem
-}
-
-// NewBChan creates a bounded channel with the given capacity (>= 1).
-func NewBChan[A any](capacity int) core.IO[BChan[A]] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return core.Bind(NewChan[A](), func(ch Chan[A]) core.IO[BChan[A]] {
-		return core.Bind(NewQSem(capacity), func(q QSem) core.IO[BChan[A]] {
-			return core.Return(BChan[A]{ch: ch, slots: q})
-		})
-	})
-}
-
-// Write appends v, waiting for a free slot.
-func (b BChan[A]) Write(v A) core.IO[core.Unit] {
-	// Acquire the slot first; if interrupted, nothing was written. The
-	// Write itself cannot wait, so once the slot is held the item is
-	// delivered.
-	return core.Block(core.Then(b.slots.Wait(), b.ch.Write(v)))
-}
-
-// Read removes the next item, freeing a slot.
-func (b BChan[A]) Read() core.IO[A] {
-	return core.Block(core.Bind(b.ch.Read(), func(v A) core.IO[A] {
-		return core.Then(b.slots.Signal(), core.Return(v))
-	}))
-}
-
-// ---------------------------------------------------------------------
-// RWLock (many readers / one writer)
-// ---------------------------------------------------------------------
-
-type rwState struct {
-	readers int
-	writer  bool
-}
-
-// RWLock is a reader/writer lock built from MVars. It is writer-unfair
-// in the simplest way (writers wait for a drain); it exists to exercise
-// multi-MVar bracketing under asynchronous exceptions.
-type RWLock struct {
-	state core.MVar[rwState]
-	// drained is signalled (one-shot) when the last reader leaves
-	// while a writer is waiting.
-	drained core.MVar[core.Unit]
-}
-
-// NewRWLock creates an unlocked RWLock.
-func NewRWLock() core.IO[RWLock] {
-	return core.Bind(core.NewMVar(rwState{}), func(st core.MVar[rwState]) core.IO[RWLock] {
-		return core.Bind(core.NewEmptyMVar[core.Unit](), func(d core.MVar[core.Unit]) core.IO[RWLock] {
-			return core.Return(RWLock{state: st, drained: d})
-		})
-	})
-}
-
-// WithRead runs m holding a read lock.
-func (l RWLock) WithRead(m core.IO[core.Unit]) core.IO[core.Unit] {
-	acquire := core.Block(core.Bind(core.Take(l.state), func(st rwState) core.IO[core.Unit] {
-		if st.writer {
-			// Busy-wait politely: put back and retry after yielding.
-			return core.Then(core.Put(l.state, st),
-				core.Then(core.Yield(), core.Delay(func() core.IO[core.Unit] {
-					return l.WithRead(m) // tail-retry carries the body
-				})))
-		}
-		st.readers++
-		return core.Then(core.Put(l.state, st),
-			core.Finally(core.Unblock(m), l.releaseRead()))
-	}))
-	return acquire
-}
-
-func (l RWLock) releaseRead() core.IO[core.Unit] {
-	return core.ModifyMVar(l.state, func(st rwState) core.IO[rwState] {
-		st.readers--
-		if st.readers == 0 && st.writer {
-			return core.Then(core.Void(core.TryPut(l.drained, core.UnitValue)), core.Return(st))
-		}
-		return core.Return(st)
-	})
-}
-
-// WithWrite runs m holding the exclusive write lock.
-func (l RWLock) WithWrite(m core.IO[core.Unit]) core.IO[core.Unit] {
-	return core.Block(core.Bind(core.Take(l.state), func(st rwState) core.IO[core.Unit] {
-		if st.writer {
-			return core.Then(core.Put(l.state, st),
-				core.Then(core.Yield(), core.Delay(func() core.IO[core.Unit] {
-					return l.WithWrite(m)
-				})))
-		}
-		st.writer = true
-		readers := st.readers
-		wait := core.Return(core.UnitValue)
-		if readers > 0 {
-			wait = core.Catch(core.Void(core.Take(l.drained)), func(e core.Exception) core.IO[core.Unit] {
-				return core.Then(l.releaseWrite(), core.Throw[core.Unit](e))
-			})
-		}
-		return core.Then(core.Put(l.state, st),
-			core.Then(wait,
-				core.Finally(core.Unblock(m), l.releaseWrite())))
-	}))
-}
-
-func (l RWLock) releaseWrite() core.IO[core.Unit] {
-	return core.ModifyMVar(l.state, func(st rwState) core.IO[rwState] {
-		st.writer = false
-		return core.Return(st)
-	})
-}

@@ -7,11 +7,7 @@
 //
 //   - Chan: an unbounded FIFO channel (the classic Concurrent Haskell
 //     stream-of-MVars construction)
-//   - BChan: a bounded channel (Chan + QSem)
 //   - QSem / QSemN: quantity semaphores
-//   - SampleVar: a lossy single-slot sample variable
-//   - Barrier: a cyclic n-party barrier
-//   - RWLock: a reader/writer lock
 //   - Async: supervised forks with wait/poll/cancel/link
 //   - Group / MapConcurrently / Race: structured concurrency
 //   - Pool: a fixed worker pool with tear-free shutdown

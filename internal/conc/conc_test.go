@@ -201,50 +201,6 @@ func TestQSemNBatch(t *testing.T) {
 	run(t, m, "big-ran")
 }
 
-// --- SampleVar ------------------------------------------------------------
-
-func TestSampleVarOverwrites(t *testing.T) {
-	m := core.Bind(conc.NewSampleVar[int](), func(s conc.SampleVar[int]) core.IO[int] {
-		return core.Then(core.Seq(s.Write(1), s.Write(2)), s.ReadSample())
-	})
-	run(t, m, 2)
-}
-
-func TestSampleVarReaderWaits(t *testing.T) {
-	m := core.Bind(conc.NewSampleVar[int](), func(s conc.SampleVar[int]) core.IO[int] {
-		return core.Then(
-			core.Void(core.Fork(core.Then(core.Sleep(time.Second), s.Write(9)))),
-			s.ReadSample())
-	})
-	run(t, m, 9)
-}
-
-// --- BChan ---------------------------------------------------------------
-
-func TestBChanBlocksWriterAtCapacity(t *testing.T) {
-	m := core.Bind(conc.NewBChan[int](2), func(b conc.BChan[int]) core.IO[string] {
-		return core.Bind(core.NewEmptyMVar[string](), func(done core.MVar[string]) core.IO[string] {
-			writer := core.Seq(
-				b.Write(1), b.Write(2),
-				b.Write(3), // parks: capacity 2
-				core.Put(done, "third-written"),
-			)
-			return core.Then(core.Seq(
-				core.Void(core.Fork(writer)),
-				core.Sleep(time.Millisecond),
-				core.Bind(core.TryTake(done), func(r core.Maybe[string]) core.IO[core.Unit] {
-					if r.IsJust {
-						return core.Put(done, "overflowed") // should not happen
-					}
-					return core.Return(core.UnitValue)
-				}),
-				core.Void(b.Read()), // frees a slot
-			), core.Take(done))
-		})
-	})
-	run(t, m, "third-written")
-}
-
 // --- Async ---------------------------------------------------------------
 
 func TestAsyncWait(t *testing.T) {
@@ -309,49 +265,4 @@ func TestWithAsyncCancelsOnExit(t *testing.T) {
 				})))
 	})
 	run(t, m, "cancelled")
-}
-
-// --- RWLock ---------------------------------------------------------------
-
-func TestRWLockReadersShareWriterExcludes(t *testing.T) {
-	m := core.Bind(conc.NewRWLock(), func(l conc.RWLock) core.IO[bool] {
-		readers := 0
-		writing := false
-		bad := false
-		read := l.WithRead(core.Seq(
-			core.Lift(func() core.Unit {
-				readers++
-				if writing {
-					bad = true
-				}
-				return core.UnitValue
-			}),
-			core.Yield(),
-			core.Lift(func() core.Unit { readers--; return core.UnitValue }),
-		))
-		write := l.WithWrite(core.Seq(
-			core.Lift(func() core.Unit {
-				if readers > 0 || writing {
-					bad = true
-				}
-				writing = true
-				return core.UnitValue
-			}),
-			core.Yield(),
-			core.Lift(func() core.Unit { writing = false; return core.UnitValue }),
-		))
-		return core.Bind(conc.NewQSemN(0), func(done conc.QSemN) core.IO[bool] {
-			forks := core.Return(core.UnitValue)
-			for i := 0; i < 6; i++ {
-				task := read
-				if i%3 == 0 {
-					task = write
-				}
-				forks = core.Then(forks, core.Void(core.Fork(core.Then(task, done.Signal(1)))))
-			}
-			return core.Then(forks, core.Then(done.Wait(6),
-				core.Lift(func() bool { return !bad })))
-		})
-	})
-	run(t, m, true)
 }

@@ -68,12 +68,3 @@ func TestQSemNInterruptedWaiterUnregisters(t *testing.T) {
 	})
 	run(t, m, "survivor")
 }
-
-func TestBChanReadWaits(t *testing.T) {
-	m := core.Bind(conc.NewBChan[int](2), func(b conc.BChan[int]) core.IO[int] {
-		return core.Then(
-			core.Void(core.Fork(core.Then(core.Sleep(time.Millisecond), b.Write(9)))),
-			b.Read())
-	})
-	run(t, m, 9)
-}

@@ -40,15 +40,9 @@ func SignalTo(tid ThreadID, sig Signal) IO[Unit] {
 // untouched. A handler that throws unwinds the thread's real stack,
 // exactly as if the interrupted operation had thrown.
 func WithSignalHandler[A any](name string, h func(Signal) IO[Unit], body IO[A]) IO[A] {
-	install := FromNode[func(sched.Signal) sched.Node](
-		sched.InstallSignalHandler(name, func(s sched.Signal) sched.Node { return h(s).node }))
-	return Bracket(install,
-		func(func(sched.Signal) sched.Node) IO[A] { return body },
-		func(prev func(sched.Signal) sched.Node) IO[Unit] {
-			return FromNode[Unit](sched.RestoreSignalHandler(name, prev))
-		})
+	type handler = func(sched.Signal) sched.Node
+	install := func(h handler) IO[handler] { return FromNode[handler](sched.InstallSignalHandler(name, h)) }
+	return Bracket(install(func(s sched.Signal) sched.Node { return h(s).node }),
+		func(handler) IO[A] { return body },
+		install)
 }
-
-// PendingSignals reports the calling thread's queued-signal count;
-// used by tests and soak audits.
-func PendingSignals() IO[int] { return FromNode[int](sched.PendingSignals()) }

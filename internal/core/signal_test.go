@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -198,12 +199,15 @@ func TestSignalQueuedWhileParked(t *testing.T) {
 
 // --- The seeded signal-vs-throwTo race -------------------------------------
 
-// TestSignalVsThrowToRace queues a signal and a kill against the same
-// victim while it is masked-uninterruptible (so both are pending
-// simultaneously when it unmasks), seeded, serial and at 4 shards.
-// The exception must always win the delivery point, and the handler
-// must never run — in particular never on the unwound stack. The
-// discarded signal is visible in SignalsDropped.
+// TestSignalVsThrowToRace queues a signal and then a kill against the
+// same victim while it is masked-uninterruptible (so both are pending
+// simultaneously when it unmasks), seeded, serial and at 4 shards. The
+// exception must always win the delivery point although it was queued
+// second. Uncaught, the kill unwinds the victim completely: the handler
+// never runs — in particular never on the unwound stack — and the
+// discarded signal is visible in SignalsDropped. Caught inside the
+// handler's scope, the kill leaves that scope intact, and the signal
+// must then run its handler exactly once, after the catch.
 func TestSignalVsThrowToRace(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
@@ -229,50 +233,76 @@ func TestSignalVsThrowToRace(t *testing.T) {
 		}},
 	}
 	for _, shape := range shapes {
-		for seed := 0; seed < seeds; seed++ {
-			var handlerRan, survived atomic.Bool
-			sys := core.NewSystem(shape.opts(int64(seed)))
-			prog := core.Bind(core.NewEmptyMVar[core.ThreadID](), func(ready core.MVar[core.ThreadID]) core.IO[core.Unit] {
-				// No Catch anywhere in the victim: the kill must unwind it
-				// completely, and the queued signal must die with it.
-				victim := core.WithSignalHandler("doomed",
-					func(core.Signal) core.IO[core.Unit] {
-						return core.Lift(func() core.Unit { handlerRan.Store(true); return core.UnitValue })
-					},
-					// Uninterruptible park: both the signal and the
-					// exception queue while we sleep, and race at the
-					// unmask that follows.
-					core.Then(core.BlockUninterruptible(
-						core.Bind(core.MyThreadID(), func(tid core.ThreadID) core.IO[core.Unit] {
-							return core.Then(core.Put(ready, tid), core.Sleep(10*time.Millisecond))
-						})),
-						core.Then(core.ReplicateM_(100, core.Yield()),
-							core.Lift(func() core.Unit { survived.Store(true); return core.UnitValue }))))
-				return core.Then(core.Void(core.Fork(victim)),
-					core.Bind(core.Take(ready), func(tid core.ThreadID) core.IO[core.Unit] {
-						return core.Then(core.SignalTo(tid, core.Signal{Name: "doomed"}),
-							core.Then(core.ThrowTo(tid, exc.ThreadKilled{}),
-								core.Sleep(50*time.Millisecond)))
-					}))
-			})
-			_, e, err := core.RunSystem(sys, prog)
-			if err != nil || e != nil {
-				t.Fatalf("%s seed=%d: %v %v", shape.name, seed, err, e)
-			}
-			st := sys.Stats()
-			if st.Killed != 1 || survived.Load() {
-				t.Fatalf("%s seed=%d: exception did not win (killed=%d survived=%v)",
-					shape.name, seed, st.Killed, survived.Load())
-			}
-			if handlerRan.Load() {
-				t.Fatalf("%s seed=%d: handler ran despite pending exception", shape.name, seed)
-			}
-			if st.SignalsDelivered != 0 {
-				t.Fatalf("%s seed=%d: signal delivered: %+v", shape.name, seed, st)
-			}
-			if st.SignalsDropped == 0 {
-				t.Fatalf("%s seed=%d: dropped signal not accounted: %+v", shape.name, seed, st)
+		for _, caught := range []bool{false, true} {
+			for seed := 0; seed < seeds; seed++ {
+				name := fmt.Sprintf("%s caught=%v seed=%d", shape.name, caught, seed)
+				runSignalVsThrowTo(t, name, shape.opts(int64(seed)), caught)
 			}
 		}
+	}
+}
+
+func runSignalVsThrowTo(t *testing.T, name string, opts core.Options, caught bool) {
+	var handlerRuns atomic.Int64
+	var inCatch, handlerAfterCatch, survived atomic.Bool
+	sys := core.NewSystem(opts)
+	prog := core.Bind(core.NewEmptyMVar[core.ThreadID](), func(ready core.MVar[core.ThreadID]) core.IO[core.Unit] {
+		// Uninterruptible park: both the signal and the exception queue
+		// while we sleep, and race at the unmask that follows.
+		body := core.Then(core.BlockUninterruptible(
+			core.Bind(core.MyThreadID(), func(tid core.ThreadID) core.IO[core.Unit] {
+				return core.Then(core.Put(ready, tid), core.Sleep(10*time.Millisecond))
+			})),
+			core.Then(core.ReplicateM_(100, core.Yield()),
+				core.Lift(func() core.Unit { survived.Store(true); return core.UnitValue })))
+		if caught {
+			body = core.Catch(body, func(core.Exception) core.IO[core.Unit] {
+				inCatch.Store(true)
+				return core.ReplicateM_(100, core.Yield())
+			})
+		}
+		victim := core.WithSignalHandler("doomed",
+			func(core.Signal) core.IO[core.Unit] {
+				return core.Lift(func() core.Unit {
+					handlerRuns.Add(1)
+					handlerAfterCatch.Store(inCatch.Load())
+					return core.UnitValue
+				})
+			}, body)
+		return core.Then(core.Void(core.Fork(victim)),
+			core.Bind(core.Take(ready), func(tid core.ThreadID) core.IO[core.Unit] {
+				return core.Then(core.SignalTo(tid, core.Signal{Name: "doomed"}),
+					core.Then(core.ThrowTo(tid, exc.ThreadKilled{}),
+						core.Sleep(50*time.Millisecond)))
+			}))
+	})
+	_, e, err := core.RunSystem(sys, prog)
+	if err != nil || e != nil {
+		t.Fatalf("%s: %v %v", name, err, e)
+	}
+	st := sys.Stats()
+	if survived.Load() {
+		t.Fatalf("%s: exception did not win: the body ran past the unmask", name)
+	}
+	if !caught {
+		if st.Killed != 1 {
+			t.Fatalf("%s: victim not killed: %+v", name, st)
+		}
+		if handlerRuns.Load() != 0 || st.SignalsDelivered != 0 {
+			t.Fatalf("%s: handler ran despite pending exception: %+v", name, st)
+		}
+		if st.SignalsDropped == 0 {
+			t.Fatalf("%s: dropped signal not accounted: %+v", name, st)
+		}
+		return
+	}
+	if !inCatch.Load() || st.Killed != 0 {
+		t.Fatalf("%s: kill not caught (caught=%v killed=%d)", name, inCatch.Load(), st.Killed)
+	}
+	if handlerRuns.Load() != 1 || st.SignalsDelivered != 1 || st.SignalsDropped != 0 {
+		t.Fatalf("%s: handler ran %d times, want once: %+v", name, handlerRuns.Load(), st)
+	}
+	if !handlerAfterCatch.Load() {
+		t.Fatalf("%s: handler ran before the exception was caught", name)
 	}
 }

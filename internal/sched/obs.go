@@ -219,17 +219,18 @@ func (rt *RT) obsSignalEnqueue(tid ThreadID, from ThreadID, sig Signal, flags ui
 // obsSignalDeliver records a signal handler being spliced into its
 // target — the target's mask state is recorded so the invariant
 // checker can verify no handler ever fired inside a masked region.
-func (rt *RT) obsSignalDeliver(t *Thread, s pendingSig) {
-	if rt.olog == nil || s.span == 0 {
+func (rt *RT) obsSignalDeliver(t *Thread, p pendingExc) {
+	if rt.olog == nil || p.span == 0 {
 		return
 	}
+	s := p.e.(*signalEntry)
 	now := rt.nowNS()
 	var lat uint64
-	if s.enqNS > 0 && now > s.enqNS {
-		lat = uint64(now - s.enqNS)
+	if p.enqNS > 0 && now > p.enqNS {
+		lat = uint64(now - p.enqNS)
 	}
 	rt.olog.Record(obs.Event{
-		TS: now, Span: s.span, Thread: int64(t.id), Peer: int64(s.from),
+		TS: now, Span: p.span, Thread: int64(t.id), Peer: int64(s.from),
 		Arg: lat, Label: s.sig.Name, Kind: obs.KindSignalDeliver,
 		Mask: uint8(t.mask),
 	})

@@ -168,8 +168,8 @@ func TestReceiptClaimRacesWithdrawal(t *testing.T) {
 // TestMailboxSlotSize pins the size of the mailbox entry every ring
 // slot copies by value, and of the pending-queue entry it carries.
 func TestMailboxSlotSize(t *testing.T) {
-	if n := unsafe.Sizeof(shardMsg{}); n > 104 {
-		t.Errorf("shardMsg is %d bytes, want <= 104", n)
+	if n := unsafe.Sizeof(shardMsg{}); n > 72 {
+		t.Errorf("shardMsg is %d bytes, want <= 72", n)
 	}
 	if n := unsafe.Sizeof(pendingExc{}); n > 40 {
 		t.Errorf("pendingExc is %d bytes, want <= 40", n)

@@ -447,38 +447,29 @@ func (rt *RT) step(t *Thread) {
 	// the install-race the conformance suite would otherwise find.
 	// It also subsumes rule (Receive)'s side condition M ≠ block N:
 	// a maskNode is never a delivery point.
-	if rt.opts.Sim != nil && len(t.sigs) > 0 && len(t.pending) > 0 &&
-		t.mask == Unmasked && rt.simSignalFirst(t) {
-		// Mutation seam (IpSignalFirst): deliver a queued signal AHEAD
-		// of a pending exception — a seeded bug (exceptions must
-		// strictly win) the mutation-testing suite has to catch.
-		switch t.cur.(type) {
-		case primNode, retNode:
-			rt.deliverSignal(t)
-		}
-	}
-
-	if len(t.pending) > 0 && (t.mask == Unmasked || rt.simDeliverMasked(t)) {
-		switch t.cur.(type) {
-		case primNode, retNode, throwNode:
-			if p, ok := rt.takePending(t); ok {
-				rt.noteDelivered(t, p, false)
-				t.cur = throwNode{p.e}
+	if len(t.pending) > 0 {
+		// Non-lethal signal delivery: strictly weaker than rule (Receive).
+		// A signal fires only when no exception is pending (exceptions
+		// always win: deliverSignal stands aside for them, so trying it
+		// first only lets the IpSignalFirst seam break that rule), only
+		// under Unmasked, and only at primitive/return redexes — not at
+		// throwNode (a handler must never run on an unwinding stack) and
+		// never while parked (no Interrupt analogue).
+		if t.mask == Unmasked {
+			switch t.cur.(type) {
+			case primNode, retNode:
+				rt.deliverSignal(t)
 			}
 		}
-	}
 
-	// Non-lethal signal delivery: strictly weaker than rule (Receive).
-	// A signal fires only when no exception is pending (exceptions
-	// always win), only under Unmasked, and only at primitive/return
-	// redexes — not at throwNode (a handler must never run on an
-	// unwinding stack) and never while parked (no Interrupt analogue).
-	// The handler is spliced in front of the current continuation; see
-	// deliverSignal.
-	if len(t.sigs) > 0 && len(t.pending) == 0 && t.mask == Unmasked {
-		switch t.cur.(type) {
-		case primNode, retNode:
-			rt.deliverSignal(t)
+		if t.mask == Unmasked || rt.simDeliverMasked(t) {
+			switch t.cur.(type) {
+			case primNode, retNode, throwNode:
+				if p, ok := rt.takePending(t); ok {
+					rt.noteDelivered(t, p, false)
+					t.cur = throwNode{p.e}
+				}
+			}
 		}
 	}
 
@@ -566,9 +557,9 @@ func (rt *RT) step(t *Thread) {
 
 // finish completes a thread (rules Return GC / Throw GC): its result or
 // uncaught exception is recorded, the receipts of in-flight synchronous
-// throwTos are claimed (§5: throwTo to a finished thread succeeds), and
-// the thread is removed from the table so later throwTos see it as
-// dead.
+// throwTos are claimed (§5: throwTo to a finished thread succeeds),
+// queued signals are dropped, and the thread is removed from the table
+// so later throwTos see it as dead.
 func (rt *RT) finish(t *Thread, v any, e exc.Exception) {
 	t.status = statusDone
 	t.doneVal = v
@@ -596,15 +587,13 @@ func (rt *RT) finish(t *Thread, v any, e exc.Exception) {
 		}
 	}
 	for _, p := range t.pending {
-		rt.claim(p)
+		if p.lethal() {
+			rt.claim(p)
+		} else {
+			rt.stats.SignalsDropped++ // a handler never runs on an unwound stack
+		}
 	}
 	t.pending = nil
-	if n := len(t.sigs); n > 0 {
-		// Queued signals die with the thread: a handler never runs on
-		// an unwound stack.
-		rt.stats.SignalsDropped += uint64(n)
-		t.sigs = nil
-	}
 	t.sigHandlers = nil
 	rt.obsFinish(t, e)
 	rt.eng.table.del(t.id)
@@ -702,7 +691,7 @@ func (rt *RT) interruptStuck(t *Thread, p pendingExc) bool {
 		return false
 	}
 	rt.obsUnpark(t)
-	rt.noteDeliveredDirect(t, p)
+	rt.noteDelivered(t, p, true)
 	t.status = statusRunnable
 	t.park = parkInfo{}
 	t.cur = throwNode{p.e}
@@ -720,21 +709,26 @@ func (rt *RT) claim(p pendingExc) bool {
 }
 
 // takePending dequeues the exception to raise in t at a delivery
-// point, dropping withdrawn entries; false when none is left.
+// point, passing over signals and dropping withdrawn entries; false
+// when no exception is left.
 func (rt *RT) takePending(t *Thread) (pendingExc, bool) {
-	for len(t.pending) > 0 {
-		if p := rt.simDequeuePending(t); rt.claim(p) {
+	for {
+		i := rt.simPendingIndex(t)
+		if i < 0 {
+			return pendingExc{}, false
+		}
+		if p := t.dequeuePendingAt(i); rt.claim(p) {
 			return p, true
 		}
 	}
-	return pendingExc{}, false
 }
 
-// deliverLocal lands an asynchronous exception on a thread owned by
-// this shard: rule (Interrupt) for stuck interruptible targets,
-// otherwise the pending queue (rule ThrowTo's in-flight state). It
-// returns false when ownership moved mid-call (the thread was stolen)
-// and the caller must re-route.
+// deliverLocal lands an asynchronous exception or a signal on a thread
+// owned by this shard: rule (Interrupt) for an exception to a stuck
+// interruptible target, otherwise the pending queue (rule ThrowTo's
+// in-flight state) — a signal never interrupts a park. It returns
+// false when ownership moved mid-call (the thread was stolen) and the
+// caller must re-route.
 func (rt *RT) deliverLocal(t *Thread, p pendingExc) bool {
 	rt.smu.Lock()
 	if t.owner.Load() != rt {
@@ -752,11 +746,15 @@ func (rt *RT) deliverLocal(t *Thread, p pendingExc) bool {
 	// Parked or done: stable, since only the owner (this shard)
 	// transitions those states and parked threads are never stolen.
 	if t.status == statusDone {
-		rt.stats.ThrowToDead++
-		rt.claim(p)
+		if p.lethal() {
+			rt.stats.ThrowToDead++
+			rt.claim(p)
+		} else {
+			rt.stats.SignalsDropped++
+		}
 		return true
 	}
-	if t.status == statusParked && t.mask.Interruptible() && !rt.simNoInterrupt(t) {
+	if p.lethal() && t.status == statusParked && t.mask.Interruptible() && !rt.simNoInterrupt(t) {
 		// Claim before detaching: a withdrawn exception must not wake
 		// the target. If a committed wakeup then wins the detach, the
 		// thrower has returned and the entry, its receipt shed, waits
@@ -834,9 +832,9 @@ func (rt *RT) throwTo(from *Thread, tid ThreadID, e exc.Exception) (Node, bool) 
 	return nil, true
 }
 
-// routeExc lands p on target: directly when this shard owns it,
-// otherwise — or when a steal moved it mid-call — as a msgThrowTo to
-// its owner.
+// routeExc lands p, an exception or a signal, on target: directly
+// when this shard owns it, otherwise — or when a steal moved it
+// mid-call — as a msgThrowTo to its owner.
 func (rt *RT) routeExc(target *Thread, p pendingExc) {
 	if target.owner.Load() == rt && rt.deliverLocal(target, p) {
 		return
@@ -859,14 +857,4 @@ func (rt *RT) throwToSelf(from *Thread, e exc.Exception) (Node, bool) {
 	span, enqNS := rt.obsEnqueue(from.id, from.id, e, uint8(from.mask), obs.FlagSelf)
 	from.pending = append(from.pending, pendingExc{e: e, span: span, enqNS: enqNS})
 	return retNode{UnitValue}, false
-}
-
-// noteDeliveredDirect records an (Interrupt)-path delivery that did not
-// go through the pending queue.
-func (rt *RT) noteDeliveredDirect(t *Thread, p pendingExc) {
-	if rt.opts.Sim != nil {
-		rt.opts.Sim.Observe(SimEvent{Kind: SimDeliver, Shard: uint8(rt.shardID), A: SimHash(p.e.ExceptionName()), B: uint64(t.id)})
-	}
-	rt.stats.Delivered++
-	rt.obsDeliver(t, p, obs.FlagInterrupt)
 }

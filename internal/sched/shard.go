@@ -53,8 +53,8 @@ type shardMsgKind uint8
 
 const (
 	// msgThrowTo lands an asynchronous exception (with the receipt of
-	// a §9 synchronous throwTo in v) on a thread owned by the receiving
-	// shard.
+	// a §9 synchronous throwTo in v) or a non-lethal signal on a thread
+	// owned by the receiving shard.
 	msgThrowTo shardMsgKind = iota
 	// msgUnpark resumes a thread whose wakeup another shard committed
 	// by popping it from a wait queue (MVar or console handoff, promise
@@ -64,10 +64,6 @@ const (
 	// pinned to (ForkOn): the thread was created already owned by the
 	// receiver and has never been in any run queue.
 	msgAdopt
-	// msgSignal lands a non-lethal signal on a thread owned by the
-	// receiving shard; it joins the target's signal queue (signals
-	// never interrupt parks).
-	msgSignal
 	// msgExternal runs an External callback (carried in v, its
 	// simulation label in seq) on shard 0, the only shard it is sent to.
 	msgExternal
@@ -79,13 +75,11 @@ type shardMsg struct {
 	t    *Thread
 	v    any
 	e    exc.Exception
-	seq  uint64 // sender tid (msgSignal), label (msgExternal)
+	seq  uint64 // label (msgExternal)
 	// span and enqNS carry the obs span id and enqueue timestamp of a
-	// msgThrowTo/msgSignal across shards (see pendingExc/pendingSig).
+	// msgThrowTo across shards (see pendingExc).
 	span  uint64
 	enqNS int64
-	// sig is a msgSignal's payload.
-	sig Signal
 }
 
 // threadTable is the striped id → thread map shared by all shards.
@@ -501,12 +495,6 @@ func (rt *RT) applyMsg(m shardMsg) {
 		// Owned by this shard from birth and never enqueued anywhere, so
 		// no ownership re-check is needed: nothing can have stolen it.
 		rt.enqueue(m.t)
-
-	case msgSignal:
-		s := pendingSig{sig: m.sig, from: ThreadID(m.seq), span: m.span, enqNS: m.enqNS}
-		if !rt.signalLocal(m.t, s) {
-			e.send(m.t.owner.Load(), m)
-		}
 	}
 }
 

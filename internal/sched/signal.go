@@ -1,6 +1,9 @@
 package sched
 
-import "asyncexc/internal/obs"
+import (
+	"asyncexc/internal/exc"
+	"asyncexc/internal/obs"
+)
 
 // This file implements non-lethal signals: SignalTo(tid, sig) enqueues
 // a notification that, at the delivery point, runs a registered
@@ -10,7 +13,10 @@ import "asyncexc/internal/obs"
 // semantics does (a signal runs a handler at an interruptible point;
 // it never destroys the continuation).
 //
-// Delivery discipline — signals are strictly weaker than exceptions:
+// A signal rides the thread's one interrupt queue as a non-lethal
+// pending entry (signalEntry), along the same route as an asynchronous
+// exception. Delivery discipline — signals are strictly weaker than
+// exceptions:
 //
 //   - A signal is delivered only at an unmasked redex boundary of a
 //     RUNNING thread. There is no analogue of rule (Interrupt): a
@@ -18,10 +24,10 @@ import "asyncexc/internal/obs"
 //     masked code never sees a handler fire (the chaos soaks check
 //     exactly this — a signalDeliver event inside a masked region is
 //     an invariant violation).
-//   - Exceptions always win: while the pending-exception queue is
-//     non-empty no signal is delivered, and a thread that dies
-//     discards its queued signals (a handler never runs on an unwound
-//     stack).
+//   - Exceptions always win: the raise sites pass over signals, no
+//     signal is delivered while a lethal entry is queued, and a thread
+//     that dies discards its queued signals (a handler never runs on
+//     an unwound stack).
 //   - The handler runs under Masked, so it cannot itself be torn by
 //     rule (Receive) mid-handler, but it remains interruptible at
 //     operations that wait (§9: handlers themselves interruptible).
@@ -42,16 +48,17 @@ type Signal struct {
 	Payload any
 }
 
-// pendingSig is one entry in a thread's signal queue.
-type pendingSig struct {
+// signalEntry is a signal in flight: the non-lethal kind of pending
+// entry. It is an exc.Exception only so that it can ride the pending
+// queue and msgThrowTo; it is never raised.
+type signalEntry struct {
 	sig  Signal
 	from ThreadID
-	// span and enqNS carry the obs span id (opened by the enqueue's
-	// KindThrowTo|FlagSignal event) and enqueue timestamp to the
-	// KindSignalDeliver event.
-	span  uint64
-	enqNS int64
 }
+
+func (s *signalEntry) ExceptionName() string   { return "Signal" }
+func (s *signalEntry) Eq(o exc.Exception) bool { return o == exc.Exception(s) }
+func (s *signalEntry) String() string          { return "signal " + s.sig.Name }
 
 // SignalTo sends a non-lethal signal to tid. Like the asynchronous
 // throwTo it never blocks; a dead or unknown target is a trivial
@@ -74,51 +81,32 @@ func (rt *RT) signalTo(from *Thread, tid ThreadID, sig Signal) {
 		return
 	}
 	span, enqNS := rt.obsSignalEnqueue(tid, from.id, sig, 0)
-	s := pendingSig{sig: sig, from: from.id, span: span, enqNS: enqNS}
-	if target.owner.Load() == rt && rt.signalLocal(target, s) {
-		return
-	}
-	rt.eng.send(target.owner.Load(), shardMsg{kind: msgSignal, t: target, sig: sig, span: span, enqNS: enqNS, seq: uint64(from.id)})
+	rt.routeExc(target, pendingExc{e: &signalEntry{sig: sig, from: from.id}, span: span, enqNS: enqNS})
 }
 
-// signalLocal lands a signal on a thread owned by this shard. It
-// returns false when ownership moved mid-call and the caller must
-// re-route. Parked targets keep the signal queued — there is
-// deliberately no Interrupt rule for signals.
-func (rt *RT) signalLocal(t *Thread, s pendingSig) bool {
-	rt.smu.Lock()
-	if t.owner.Load() != rt {
-		rt.smu.Unlock()
-		return false
-	}
-	if t.status == statusRunnable {
-		t.sigs = append(t.sigs, s)
-		rt.smu.Unlock()
-		return true
-	}
-	rt.smu.Unlock()
-	// Parked or done: stable (only the owner transitions those states,
-	// and parked threads are never stolen).
-	if t.status == statusDone {
-		rt.stats.SignalsDropped++
-		return true
-	}
-	t.sigs = append(t.sigs, s)
-	return true
-}
-
-// deliverSignal fires at most one queued signal at the current step's
-// delivery point. Caller (rt.step) has verified: sigs non-empty, no
-// pending exceptions, mask Unmasked, and the current node is a
-// primitive or return redex. The handler is spliced IN FRONT of the
-// current continuation — no frame is popped, nothing unwinds:
+// deliverSignal fires the oldest queued signal at the current step's
+// delivery point, unless an exception is pending: exceptions always
+// win, bar the IpSignalFirst mutation seam, consulted only when both
+// kinds are queued. Caller (rt.step) has verified: mask Unmasked, and
+// the current node is a primitive or return redex. The handler is
+// spliced IN FRONT of the current continuation — no frame is popped,
+// nothing unwinds:
 //
 //	cur := Then(MaskTo(handler(sig), Masked), cur)
 func (rt *RT) deliverSignal(t *Thread) {
-	s := t.sigs[0]
-	copy(t.sigs, t.sigs[1:])
-	t.sigs[len(t.sigs)-1] = pendingSig{}
-	t.sigs = t.sigs[:len(t.sigs)-1]
+	i, lethal := -1, false
+	for j, p := range t.pending {
+		if p.lethal() {
+			lethal = true
+		} else if i < 0 {
+			i = j
+		}
+	}
+	if i < 0 || lethal && !rt.simSignalFirst(t) {
+		return
+	}
+	p := t.dequeuePendingAt(i)
+	s := p.e.(*signalEntry)
 	if sim := rt.opts.Sim; sim != nil {
 		sim.Observe(SimEvent{Kind: SimSignal, Shard: uint8(rt.shardID), A: SimHash(s.sig.Name), B: uint64(t.id)})
 	}
@@ -128,50 +116,27 @@ func (rt *RT) deliverSignal(t *Thread) {
 		return
 	}
 	rt.stats.SignalsDelivered++
-	rt.obsSignalDeliver(t, s)
+	rt.obsSignalDeliver(t, p)
 	saved := t.cur
 	t.cur = bindNode{maskNode{h(s.sig), Masked}, func(any) Node { return saved }}
 }
 
 // InstallSignalHandler registers h as this thread's handler for name,
-// returning the previous registration (nil Node-wrapped as any) so
-// scoped installation can restore it. Handlers are per-thread state
-// and are not inherited by forked children.
+// returning the previous registration (nil when there was none) so
+// scoped installation can restore it. A nil h removes the
+// registration. Handlers are per-thread state and are not inherited
+// by forked children.
 func InstallSignalHandler(name string, h func(Signal) Node) Node {
 	return primNode{name: "installSignalHandler", step: func(rt *RT, t *Thread) (Node, bool) {
-		var prev func(Signal) Node
-		if t.sigHandlers == nil {
-			t.sigHandlers = make(map[string]func(Signal) Node)
-		} else {
-			prev = t.sigHandlers[name]
-		}
-		t.sigHandlers[name] = h
-		return retNode{prev}, false
-	}}
-}
-
-// RestoreSignalHandler reinstates a previous registration captured by
-// InstallSignalHandler (prev may be nil: the name had no handler).
-func RestoreSignalHandler(name string, prev func(Signal) Node) Node {
-	return primNode{name: "restoreSignalHandler", step: func(rt *RT, t *Thread) (Node, bool) {
-		if prev == nil {
-			if t.sigHandlers != nil {
-				delete(t.sigHandlers, name)
-			}
+		prev := t.sigHandlers[name]
+		if h == nil {
+			delete(t.sigHandlers, name)
 		} else {
 			if t.sigHandlers == nil {
 				t.sigHandlers = make(map[string]func(Signal) Node)
 			}
-			t.sigHandlers[name] = prev
+			t.sigHandlers[name] = h
 		}
-		return retNode{UnitValue}, false
-	}}
-}
-
-// PendingSignals reports the calling thread's queued-signal count
-// (tests and soak audits).
-func PendingSignals() Node {
-	return primNode{name: "pendingSignals", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{len(t.sigs)}, false
+		return retNode{prev}, false
 	}}
 }

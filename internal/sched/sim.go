@@ -105,8 +105,8 @@ type InterposePoint uint8
 
 const (
 	// IpPendingIndex: which pending exception to dequeue at a delivery
-	// point. Return an index (0 = FIFO front, the correct behavior);
-	// -1 keeps the default.
+	// point. Return an index (0 = FIFO front, the correct behavior); one
+	// that names no exception (-1, a signal) keeps the default.
 	IpPendingIndex InterposePoint = 1
 	// IpDeliverMasked: return 1 to deliver a pending exception at a
 	// masked redex (violates rule (Receive)'s side condition).
@@ -258,16 +258,21 @@ func (rt *RT) simDropUnpark(t *Thread) bool {
 	return rt.simPerturb && rt.opts.Sim.Interpose(IpDropUnpark, t) == 1
 }
 
-// simDequeuePending dequeues the pending exception to deliver:
-// FIFO front, unless the IpPendingIndex mutation seam forces another
-// index.
-func (rt *RT) simDequeuePending(t *Thread) pendingExc {
+// simPendingIndex returns the index of the pending exception to raise
+// next, or -1 when only signals are queued: the oldest one, unless the
+// IpPendingIndex mutation seam names another.
+func (rt *RT) simPendingIndex(t *Thread) int {
 	if s := rt.opts.Sim; rt.simPerturb && s != nil && len(t.pending) > 1 {
-		if i := s.Interpose(IpPendingIndex, t); i > 0 && i < len(t.pending) {
-			return t.dequeuePendingAt(i)
+		if i := s.Interpose(IpPendingIndex, t); i > 0 && i < len(t.pending) && t.pending[i].lethal() {
+			return i
 		}
 	}
-	return t.dequeuePending()
+	for i, p := range t.pending {
+		if p.lethal() {
+			return i
+		}
+	}
+	return -1
 }
 
 // applyExternalsSim applies the External callbacks the mailbox drain

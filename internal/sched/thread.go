@@ -92,7 +92,9 @@ func (k parkKind) String() string {
 	}
 }
 
-// pendingExc is one entry in a thread's pending-exception queue (§8.1).
+// pendingExc is one entry in a thread's pending-exception queue (§8.1),
+// the thread's one interrupt queue: e is an asynchronous exception
+// (lethal) or a *signalEntry (a non-lethal signal, see signal.go).
 // receipt is non-nil for the synchronous throwTo design of §9: the
 // promise the thrower awaits. Delivery resolves it and the thrower's
 // interrupt cancels it; whichever settles it first decides whether the
@@ -105,6 +107,12 @@ type pendingExc struct {
 	// when no Observer is configured.
 	span  uint64
 	enqNS int64
+}
+
+// lethal reports whether p is an exception rather than a signal.
+func (p pendingExc) lethal() bool {
+	_, sig := p.e.(*signalEntry)
+	return !sig
 }
 
 // parkInfo records why a thread is parked and how to extract it.
@@ -141,14 +149,9 @@ type Thread struct {
 	stack []frame
 	mask  MaskState
 
+	// pending queues undelivered interrupts, oldest first: asynchronous
+	// exceptions and non-lethal signals (see signal.go).
 	pending []pendingExc
-
-	// sigs queues undelivered non-lethal signals. Strictly weaker than
-	// pending: signals are delivered only at unmasked redex boundaries
-	// of a running thread (no Interrupt rule), and exceptions always
-	// win when both queues are non-empty. Discarded when the thread
-	// finishes — a handler never runs on an unwound stack.
-	sigs []pendingSig
 
 	// sigHandlers maps signal names to this thread's registered
 	// handlers; nil means no handler was ever installed. Owner-only
@@ -218,7 +221,7 @@ func (t *Thread) Mask() MaskState { return t.mask }
 // Done reports whether the thread has finished.
 func (t *Thread) Done() bool { return t.status == statusDone }
 
-// PendingCount returns the number of queued undelivered exceptions.
+// PendingCount returns the number of queued exceptions and signals.
 func (t *Thread) PendingCount() int { return len(t.pending) }
 
 // StackDepth returns the current continuation-stack depth.
@@ -251,14 +254,7 @@ func (t *Thread) top() frame {
 	return t.stack[len(t.stack)-1]
 }
 
-// dequeuePending removes and returns the first pending exception.
-func (t *Thread) dequeuePending() pendingExc {
-	return t.dequeuePendingAt(0)
-}
-
-// dequeuePendingAt removes and returns the i-th pending exception.
-// Index 0 (FIFO front) is the correct semantics; other indices exist
-// only for the IpPendingIndex mutation seam (see sim.go).
+// dequeuePendingAt removes and returns the i-th pending entry.
 func (t *Thread) dequeuePendingAt(i int) pendingExc {
 	p := t.pending[i]
 	copy(t.pending[i:], t.pending[i+1:])
