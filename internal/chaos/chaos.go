@@ -87,6 +87,8 @@ type Report struct {
 	Violations []string
 	// KillsDelivered counts chaos exceptions that actually landed.
 	KillsDelivered uint64
+	// ThrowTos counts exceptions placed in flight (Stats.ThrowTos).
+	ThrowTos uint64
 	// Steps is the total scheduler steps executed.
 	Steps uint64
 	// AccountValue is the final locked-account value.
@@ -264,6 +266,7 @@ func Run(cfg Config) (Report, error) {
 		st := sys.Stats()
 		rep.Steps = st.Steps
 		rep.KillsDelivered = st.Delivered
+		rep.ThrowTos = st.ThrowTos
 		if err != nil {
 			return rep, err
 		}
@@ -294,6 +297,7 @@ func Run(cfg Config) (Report, error) {
 	st := sys.Stats()
 	rep.Steps = st.Steps
 	rep.KillsDelivered = st.Delivered
+	rep.ThrowTos = st.ThrowTos
 	return rep, nil
 }
 

@@ -64,9 +64,10 @@ func runObsSoak(t *testing.T, cfg Config) {
 		t.FailNow()
 	}
 
-	// Reconcile against the scheduler's counters: the chaos kills all
-	// landed, so the stream must hold at least that many deliveries,
-	// each carrying a concrete mask state.
+	// Reconcile against the scheduler's counters: one deliver event per
+	// delivery, each carrying a concrete mask state, and one enqueue
+	// event per exception placed in flight (signals and the deadlock
+	// detector's interrupts are not throwTos).
 	var delivers, throws uint64
 	for _, e := range events {
 		switch e.Kind {
@@ -76,14 +77,17 @@ func runObsSoak(t *testing.T, cfg Config) {
 				t.Errorf("seed %d shards %d: deliver without mask state: %v", cfg.Seed, cfg.Shards, e)
 			}
 		case obs.KindThrowTo:
-			throws++
+			if e.Flags&(obs.FlagSignal|obs.FlagDeadlock) == 0 {
+				throws++
+			}
 		}
 	}
 	if delivers != rep.KillsDelivered {
 		t.Errorf("seed %d shards %d: %d deliver events but scheduler counted %d deliveries",
 			cfg.Seed, cfg.Shards, delivers, rep.KillsDelivered)
 	}
-	if throws < delivers {
-		t.Errorf("seed %d shards %d: %d enqueues < %d delivers", cfg.Seed, cfg.Shards, throws, delivers)
+	if throws != rep.ThrowTos {
+		t.Errorf("seed %d shards %d: %d enqueue events but scheduler counted %d throwTos",
+			cfg.Seed, cfg.Shards, throws, rep.ThrowTos)
 	}
 }

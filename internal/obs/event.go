@@ -19,11 +19,12 @@ const (
 	// Exc is the uncaught exception, if any; Span links an uncaught
 	// asynchronous exception back to its throwTo.
 	KindFinish
-	// KindThrowTo: an exception was placed in flight against Thread
-	// (rule ThrowTo; also environment interrupts and the deadlock
-	// detector). Peer is the thrower (0 = environment), Span the new
-	// span id, Mask the thrower's mask state (MaskUnknown when thrown
-	// from outside the runtime).
+	// KindThrowTo: an exception or a signal was placed in flight
+	// against Thread (rule ThrowTo; also environment interrupts,
+	// promise cancellation and reaping, and the deadlock detector).
+	// Peer is the sender (0 = environment or runtime), Span the new
+	// span id, Mask the sender's mask state (MaskUnknown when sent
+	// from outside any thread).
 	KindThrowTo
 	// KindDeliver: an in-flight exception was raised in its target
 	// (rules Receive and Interrupt). Mask is the target's mask state

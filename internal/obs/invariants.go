@@ -35,6 +35,8 @@ import "fmt"
 //     are strictly weaker than exceptions — no Interrupt rule), and
 //     its enqueue (KindThrowTo|FlagSignal) is sequenced before it,
 //     at most one delivery per signal span.
+//   - A span keeps its kind: a KindDeliver never closes a FlagSignal
+//     enqueue, and a KindSignalDeliver only closes one.
 //
 // A recorder with mask-filtered events (Stats.Filtered > 0) is treated
 // like one with drops: the filtered kinds are legitimately absent, so
@@ -95,6 +97,9 @@ func CheckInvariants(events []Event, st Stats) []string {
 					violate("deliver without matching enqueue: %v", e)
 				}
 				break
+			}
+			if enq.Flags&FlagSignal != 0 {
+				violate("span %d enqueued as signal but delivered as exception: %v", e.Span, e)
 			}
 			if enq.Seq >= e.Seq {
 				violate("enqueue %v not sequenced before deliver %v", enq, e)

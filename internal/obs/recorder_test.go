@@ -258,6 +258,29 @@ func TestCheckInvariants(t *testing.T) {
 			),
 			wantBad: 1,
 		},
+		{
+			name: "conformant signal",
+			events: mk(
+				Event{Seq: 1, Kind: KindThrowTo, Thread: 2, Peer: 1, Span: 7, Label: "reload", Flags: FlagSignal},
+				Event{Seq: 2, Kind: KindSignalDeliver, Thread: 2, Span: 7, Label: "reload"},
+			),
+		},
+		{
+			name: "exception delivered as signal",
+			events: mk(
+				Event{Seq: 1, Kind: KindThrowTo, Thread: 2, Peer: 1, Span: 7},
+				Event{Seq: 2, Kind: KindSignalDeliver, Thread: 2, Span: 7, Label: "reload"},
+			),
+			wantBad: 1,
+		},
+		{
+			name: "signal delivered as exception",
+			events: mk(
+				Event{Seq: 1, Kind: KindThrowTo, Thread: 2, Peer: 1, Span: 7, Label: "reload", Flags: FlagSignal},
+				Event{Seq: 2, Kind: KindDeliver, Thread: 2, Span: 7},
+			),
+			wantBad: 1,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

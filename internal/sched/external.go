@@ -11,10 +11,7 @@ import (
 // the programmer" (§5). It must run inside the scheduler: call it from
 // an External callback (or a primitive's step function).
 func (rt *RT) Interrupt(tid ThreadID, e exc.Exception) {
-	if target := rt.eng.lookup(tid); target != nil {
-		span, enqNS := rt.obsEnqueue(tid, 0, e, obs.MaskUnknown, 0)
-		rt.routeExc(target, pendingExc{e: e, span: span, enqNS: enqNS})
-	}
+	rt.post(0, obs.MaskUnknown, tid, e)
 }
 
 // InterruptFromWire is Interrupt for exceptions that arrived over a
@@ -25,15 +22,15 @@ func (rt *RT) Interrupt(tid ThreadID, e exc.Exception) {
 // Label the origin node id — Arg joins the two nodes' traces. Like
 // Interrupt it must run inside the scheduler (an External callback).
 // It reports whether the target existed (false: it had already
-// finished or never existed; the caller answers NoProc).
+// finished or never existed, the throw was the trivial success, and
+// the caller answers NoProc).
 func (rt *RT) InterruptFromWire(tid ThreadID, e exc.Exception, origin string, wireSpan uint64) bool {
-	target := rt.eng.lookup(tid)
+	target, p := rt.admit(0, obs.MaskUnknown, tid, e, 0)
 	if target == nil {
 		return false
 	}
-	span, enqNS := rt.obsEnqueue(tid, 0, e, obs.MaskUnknown, 0)
-	rt.obsRemoteInject(tid, e, origin, span, wireSpan)
-	rt.routeExc(target, pendingExc{e: e, span: span, enqNS: enqNS})
+	rt.obsRemoteInject(tid, e, origin, p.span, wireSpan)
+	rt.routeExc(target, p)
 	return true
 }
 

@@ -13,9 +13,9 @@ import (
 // shard-owned staging buffer (no locks on the hot path — see
 // obs.ShardLog).
 //
-// The span discipline: every site that places an exception in flight
-// (rt.throwTo, rt.Interrupt, the deadlock detector) allocates a span
-// id and records a KindThrowTo event with the thrower's mask state;
+// The span discipline: every site that places an exception or a signal
+// in flight (rt.admit, the deadlock detector) allocates a span id and
+// records a KindThrowTo event with the sender's mask state;
 // the span and enqueue timestamp travel
 // inside the pendingExc (and across shards inside the msgThrowTo
 // message), so the eventual KindDeliver event can report the pending
@@ -32,11 +32,13 @@ func (rt *RT) obsAttach(shard int) {
 	}
 }
 
-// obsEnqueue allocates a span and records an exception being placed
-// in flight against target tid (rule ThrowTo; also environment
-// interrupts and the deadlock detector). from is 0 for throws
-// originating outside the program; mask is the thrower's mask state
-// or obs.MaskUnknown. It returns the span id and enqueue timestamp to
+// obsEnqueue allocates a span and records an exception or a signal
+// being placed in flight against target tid (rule ThrowTo, from
+// rt.admit; also the deadlock detector). from is 0 for throws
+// originating outside the program; mask is the sender's mask state
+// or obs.MaskUnknown. A signal is labelled by its name and carries
+// FlagSignal; its span is closed by a KindSignalDeliver or never (a
+// dropped signal). It returns the span id and enqueue timestamp to
 // store in the pendingExc — both zero when no observer is attached.
 func (rt *RT) obsEnqueue(tid ThreadID, from ThreadID, e exc.Exception, mask uint8, flags uint8) (span uint64, enqNS int64) {
 	if rt.olog == nil {
@@ -44,10 +46,16 @@ func (rt *RT) obsEnqueue(tid ThreadID, from ThreadID, e exc.Exception, mask uint
 	}
 	span = rt.opts.Observer.NextSpan()
 	enqNS = rt.nowNS()
-	rt.olog.Record(obs.Event{
+	ev := obs.Event{
 		TS: enqNS, Span: span, Thread: int64(tid), Peer: int64(from),
 		Exc: e, Kind: obs.KindThrowTo, Mask: mask, Flags: flags,
-	})
+	}
+	if s, ok := e.(*signalEntry); ok {
+		// Never intern the entry as Exc: each is a distinct pointer,
+		// so the shard's exception table would grow by one per signal.
+		ev.Exc, ev.Label, ev.Flags = nil, s.sig.Name, flags|obs.FlagSignal
+	}
+	rt.olog.Record(ev)
 	return span, enqNS
 }
 
@@ -195,25 +203,6 @@ func (rt *RT) obsAwait(tid ThreadID, mask uint8, span, promiseID uint64, cancell
 		TS: rt.nowNS(), Span: span, Thread: int64(tid), Arg: promiseID,
 		Kind: obs.KindAwait, Mask: mask, Flags: flags,
 	})
-}
-
-// obsSignalEnqueue allocates a span and records a non-lethal signal
-// being placed in flight (KindThrowTo with FlagSignal; the span is
-// closed by the eventual KindSignalDeliver, or never — dropped
-// signals leave it open, which the completeness checks tolerate
-// because FlagSignal spans are exempt from deliver matching).
-func (rt *RT) obsSignalEnqueue(tid ThreadID, from ThreadID, sig Signal, flags uint8) (span uint64, enqNS int64) {
-	if rt.olog == nil {
-		return 0, 0
-	}
-	span = rt.opts.Observer.NextSpan()
-	enqNS = rt.nowNS()
-	rt.olog.Record(obs.Event{
-		TS: enqNS, Span: span, Thread: int64(tid), Peer: int64(from),
-		Label: sig.Name, Kind: obs.KindThrowTo, Mask: obs.MaskUnknown,
-		Flags: obs.FlagSignal | flags,
-	})
-	return span, enqNS
 }
 
 // obsSignalDeliver records a signal handler being spliced into its

@@ -174,7 +174,7 @@ func (rt *RT) settle(p *Promise, v any, e exc.Exception, cancelled bool, detach 
 	// the losers (parked or still computing) receive PromiseCancelled,
 	// the winner has already finished and absorbs a throwTo-dead no-op.
 	for _, tid := range reap {
-		rt.throwToAsyncFrom(0, obs.MaskUnknown, tid, exc.PromiseCancelled{})
+		rt.post(0, obs.MaskUnknown, tid, exc.PromiseCancelled{})
 	}
 	if cancelled && hook != nil {
 		hook()
@@ -218,33 +218,11 @@ func CancelPromise(p *Promise) Node {
 			// settlement itself; for ordinary promises the canceller
 			// propagates to the single registered producer here.
 			if prod := p.producer; prod != 0 && prod != t.id {
-				rt.throwToAsync(t, prod, exc.PromiseCancelled{})
+				rt.post(t.id, uint8(t.mask), prod, exc.PromiseCancelled{})
 			}
 		}
 		return retNode{won}, false
 	}}
-}
-
-// throwToAsync places e in flight against tid on behalf of from,
-// always asynchronously (the §9 synchronous option does not apply to
-// cancellation propagation — the canceller must not wait on the
-// producer it is tearing down).
-func (rt *RT) throwToAsync(from *Thread, tid ThreadID, e exc.Exception) {
-	rt.throwToAsyncFrom(from.id, uint8(from.mask), tid, e)
-}
-
-// throwToAsyncFrom is throwToAsync with the thrower identified by raw
-// id and mask; fromID 0 marks a runtime-originated throw (producer
-// reaping from inside a settlement, where no thread is "the thrower").
-func (rt *RT) throwToAsyncFrom(fromID ThreadID, fromMask uint8, tid ThreadID, e exc.Exception) {
-	rt.stats.ThrowTos++
-	target := rt.eng.lookup(tid)
-	if target == nil {
-		rt.stats.ThrowToDead++
-		return
-	}
-	span, enqNS := rt.obsEnqueue(tid, fromID, e, fromMask, 0)
-	rt.routeExc(target, pendingExc{e: e, span: span, enqNS: enqNS})
 }
 
 // AsyncNode forks body as a producer thread of a fresh promise and

@@ -556,10 +556,9 @@ func (rt *RT) step(t *Thread) {
 }
 
 // finish completes a thread (rules Return GC / Throw GC): its result or
-// uncaught exception is recorded, the receipts of in-flight synchronous
-// throwTos are claimed (§5: throwTo to a finished thread succeeds),
-// queued signals are dropped, and the thread is removed from the table
-// so later throwTos see it as dead.
+// uncaught exception is recorded, its still-queued entries are dropped
+// (§5: throwTo to a finished thread succeeds), and the thread is
+// removed from the table so later throwTos see it as dead.
 func (rt *RT) finish(t *Thread, v any, e exc.Exception) {
 	t.status = statusDone
 	t.doneVal = v
@@ -587,11 +586,7 @@ func (rt *RT) finish(t *Thread, v any, e exc.Exception) {
 		}
 	}
 	for _, p := range t.pending {
-		if p.lethal() {
-			rt.claim(p)
-		} else {
-			rt.stats.SignalsDropped++ // a handler never runs on an unwound stack
-		}
+		rt.drop(p)
 	}
 	t.pending = nil
 	t.sigHandlers = nil
@@ -746,12 +741,7 @@ func (rt *RT) deliverLocal(t *Thread, p pendingExc) bool {
 	// Parked or done: stable, since only the owner (this shard)
 	// transitions those states and parked threads are never stolen.
 	if t.status == statusDone {
-		if p.lethal() {
-			rt.stats.ThrowToDead++
-			rt.claim(p)
-		} else {
-			rt.stats.SignalsDropped++
-		}
+		rt.drop(p)
 		return true
 	}
 	if p.lethal() && t.status == statusParked && t.mask.Interruptible() && !rt.simNoInterrupt(t) {
@@ -786,50 +776,98 @@ func (rt *RT) noteDelivered(t *Thread, p pendingExc, interrupted bool) {
 }
 
 // throwTo implements §5/§8.2 and the §9 synchronous variant. Called
-// from the thrower's step. Targets owned by this shard take the direct
-// path in the asynchronous design; anything else becomes a mailbox
-// message to the owner. The §9 synchronous design is the same delivery
-// plus a receipt: the thrower parks on a fresh promise and the
-// exception travels in a msgThrowTo — including to local targets — so
-// the thrower is parked before anything can settle the receipt.
+// from the thrower's step. The asynchronous design posts the exception
+// and continues. The §9 synchronous design is the same delivery plus a
+// receipt: the thrower parks on a fresh promise and the exception
+// travels in a msgThrowTo — including to local targets — so the
+// thrower is parked before anything can settle the receipt.
 func (rt *RT) throwTo(from *Thread, tid ThreadID, e exc.Exception) (Node, bool) {
-	rt.stats.ThrowTos++
-	target := rt.eng.lookup(tid)
+	if !rt.opts.SyncThrowTo {
+		// Rule (ThrowTo): spawn the exception in flight; the caller
+		// continues immediately. A self-throw waits in the pending
+		// queue for rule (Receive) at the next unmasked boundary.
+		rt.post(from.id, uint8(from.mask), tid, e)
+		return retNode{UnitValue}, false
+	}
+	target, p := rt.admit(from.id, uint8(from.mask), tid, e, obs.FlagSync)
 	if target == nil {
-		// "If the thread t has already died or completed, then throwTo
-		// trivially succeeds" (§5).
-		rt.stats.ThrowToDead++
-		rt.obsEnqueue(tid, from.id, e, uint8(from.mask), obs.FlagTargetDead)
 		return retNode{UnitValue}, false
 	}
 	if target == from {
-		return rt.throwToSelf(from, e)
+		// §9 notes a self-throw needs a special case: deliver
+		// immediately, regardless of mask state.
+		rt.stats.Delivered++
+		rt.obsDeliver(from, p, obs.FlagSelf|obs.FlagSync)
+		return throwNode{e}, false
 	}
-	if target.owner.Load() != rt {
-		rt.stats.CrossShardThrowTo++
-	}
-	if !rt.opts.SyncThrowTo {
-		// Rule (ThrowTo): spawn the exception in flight; the caller
-		// continues immediately. A stuck interruptible target receives
-		// it at once (rule Interrupt, see deliverLocal).
-		span, enqNS := rt.obsEnqueue(tid, from.id, e, uint8(from.mask), 0)
-		rt.routeExc(target, pendingExc{e: e, span: span, enqNS: enqNS})
-		return retNode{UnitValue}, false
-	}
-	// Synchronous design: await the receipt; the wait is itself
-	// interruptible (§9). The target's delivery point resolves the
-	// receipt, and an interrupt that detaches the thrower cancels it:
-	// whichever settles it first decides delivered or withdrawn.
+	// Await the receipt; the wait is itself interruptible (§9). The
+	// target's delivery point resolves the receipt, and an interrupt
+	// that detaches the thrower cancels it: whichever settles it first
+	// decides delivered or withdrawn.
 	if n, interrupted := from.raisePendingForPark(); interrupted {
 		return n, false
 	}
-	span, enqNS := rt.obsEnqueue(tid, from.id, e, uint8(from.mask), obs.FlagSync)
 	r := rt.newPromise("")
 	r.mu.Lock()
 	rt.park(from, parkInfo{kind: parkThrowTo, q: &r.waiters, mu: &r.mu, id: r.id, cancel: r})
 	r.mu.Unlock()
-	rt.eng.send(target.owner.Load(), shardMsg{kind: msgThrowTo, t: target, e: e, v: r, span: span, enqNS: enqNS})
+	rt.eng.send(target.owner.Load(), shardMsg{kind: msgThrowTo, t: target, e: e, v: r, span: p.span, enqNS: p.enqNS})
 	return nil, true
+}
+
+// post places e, an exception or a *signalEntry, in flight against tid
+// on behalf of from (0: the environment or the runtime itself), whose
+// mask state is mask, and routes it. Every entry into the interrupt
+// queue comes through here or through admit. Under Options.SyncThrowTo
+// only a throwTo call awaits a receipt: a canceller must not wait on
+// the producer it is tearing down.
+func (rt *RT) post(from ThreadID, mask uint8, tid ThreadID, e exc.Exception) {
+	if target, p := rt.admit(from, mask, tid, e, 0); target != nil {
+		rt.routeExc(target, p)
+	}
+}
+
+// admit is the front half of post: the one place an entry's target is
+// looked up and the entry counted and traced. A finished target gets a
+// FlagTargetDead enqueue and the entry is dropped — "if the thread t
+// has already died or completed, then throwTo trivially succeeds"
+// (§5) — and admit returns a nil target.
+func (rt *RT) admit(from ThreadID, mask uint8, tid ThreadID, e exc.Exception, flags uint8) (*Thread, pendingExc) {
+	p := pendingExc{e: e}
+	if p.lethal() {
+		rt.stats.ThrowTos++
+	} else {
+		rt.stats.SignalsSent++
+	}
+	if tid == from {
+		flags |= obs.FlagSelf
+	}
+	target := rt.eng.lookup(tid)
+	if target == nil {
+		flags |= obs.FlagTargetDead
+	} else if p.lethal() && target.owner.Load() != rt {
+		rt.stats.CrossShardThrowTo++
+	}
+	p.span, p.enqNS = rt.obsEnqueue(tid, from, e, mask, flags)
+	if target == nil {
+		rt.drop(p)
+	}
+	return target, p
+}
+
+// drop is the one rule for an entry that reaches no live thread: its
+// target had finished at admit or at delivery, or finished with the
+// entry still queued. An exception is claimed (a §9 thrower is
+// released: the throwTo succeeded) and counts ThrowToDead; a signal
+// counts SignalsDropped, since a handler never runs on an unwound
+// stack.
+func (rt *RT) drop(p pendingExc) {
+	if p.lethal() {
+		rt.stats.ThrowToDead++
+		rt.claim(p)
+	} else {
+		rt.stats.SignalsDropped++
+	}
 }
 
 // routeExc lands p, an exception or a signal, on target: directly
@@ -840,21 +878,4 @@ func (rt *RT) routeExc(target *Thread, p pendingExc) {
 		return
 	}
 	rt.eng.send(target.owner.Load(), shardMsg{kind: msgThrowTo, t: target, e: p.e, span: p.span, enqNS: p.enqNS})
-}
-
-// throwToSelf handles throwTo targeting the calling thread.
-// Asynchronous design: the exception goes in flight against ourselves
-// and rule (Receive) fires at the next boundary if unmasked.
-// Synchronous design: §9 notes this needs a special case — deliver
-// immediately, regardless of mask state.
-func (rt *RT) throwToSelf(from *Thread, e exc.Exception) (Node, bool) {
-	if rt.opts.SyncThrowTo {
-		span, enqNS := rt.obsEnqueue(from.id, from.id, e, uint8(from.mask), obs.FlagSelf|obs.FlagSync)
-		rt.stats.Delivered++
-		rt.obsDeliver(from, pendingExc{e: e, span: span, enqNS: enqNS}, obs.FlagSelf|obs.FlagSync)
-		return throwNode{e}, false
-	}
-	span, enqNS := rt.obsEnqueue(from.id, from.id, e, uint8(from.mask), obs.FlagSelf)
-	from.pending = append(from.pending, pendingExc{e: e, span: span, enqNS: enqNS})
-	return retNode{UnitValue}, false
 }

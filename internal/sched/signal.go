@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"asyncexc/internal/exc"
-	"asyncexc/internal/obs"
-)
+import "asyncexc/internal/exc"
 
 // This file implements non-lethal signals: SignalTo(tid, sig) enqueues
 // a notification that, at the delivery point, runs a registered
@@ -67,21 +64,9 @@ func (s *signalEntry) String() string          { return "signal " + s.sig.Name }
 // next unmasked redex boundary.
 func SignalTo(tid ThreadID, sig Signal) Node {
 	return primNode{name: "signalTo", step: func(rt *RT, t *Thread) (Node, bool) {
-		rt.signalTo(t, tid, sig)
+		rt.post(t.id, uint8(t.mask), tid, &signalEntry{sig: sig, from: t.id})
 		return retNode{UnitValue}, false
 	}}
-}
-
-func (rt *RT) signalTo(from *Thread, tid ThreadID, sig Signal) {
-	rt.stats.SignalsSent++
-	target := rt.eng.lookup(tid)
-	if target == nil {
-		rt.stats.SignalsDropped++
-		rt.obsSignalEnqueue(tid, from.id, sig, obs.FlagTargetDead)
-		return
-	}
-	span, enqNS := rt.obsSignalEnqueue(tid, from.id, sig, 0)
-	rt.routeExc(target, pendingExc{e: &signalEntry{sig: sig, from: from.id}, span: span, enqNS: enqNS})
 }
 
 // deliverSignal fires the oldest queued signal at the current step's

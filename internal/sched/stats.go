@@ -27,8 +27,14 @@ type Stats struct {
 	// Sleeps counts sleep parks.
 	Sleeps uint64
 
-	// ThrowTos counts throwTo calls; ThrowToDead the ones whose target
-	// had already finished (trivial success, §5).
+	// ThrowTos counts exceptions placed in flight: throwTo calls,
+	// environment and cluster interrupts, promise cancellations and
+	// speculation reaping — every exception that enters the interrupt
+	// queue except the deadlock detector's. ThrowToDead counts the ones
+	// that reached no live thread: the target had finished at the
+	// throw, at the delivery, or with the exception still queued
+	// (trivial success, §5). Every other one is Delivered, withdrawn by
+	// its interrupted §9 thrower, or still queued when the program ends.
 	ThrowTos    uint64
 	ThrowToDead uint64
 	// Killed counts threads that died with an uncaught ThreadKilled —
@@ -99,7 +105,8 @@ type Stats struct {
 	Awaits            uint64
 	AwaitParks        uint64
 
-	// SignalsSent counts SignalTo calls; SignalsDelivered counts
+	// SignalsSent counts SignalTo calls, dead targets included;
+	// SignalsDelivered counts
 	// handlers actually spliced in; SignalsDropped counts signals
 	// discarded (dead target, no registered handler at the delivery
 	// point, or queued at thread death — a handler never runs on an
@@ -111,8 +118,9 @@ type Stats struct {
 	// Steals counts threads this shard stole from siblings' run queues
 	// (always 0 with one shard).
 	Steals uint64
-	// CrossShardThrowTo counts throwTo calls whose target was owned by
-	// another shard and travelled as a mailbox message.
+	// CrossShardThrowTo counts the ThrowTos whose target was owned by
+	// another shard when the exception was placed in flight, so it
+	// travelled as a mailbox message. Signals are not counted.
 	CrossShardThrowTo uint64
 	// MailboxDepth is the high-water mark of this shard's mailbox (a
 	// gauge, not a counter: Add takes the max).

@@ -224,9 +224,6 @@ func (t *Thread) Done() bool { return t.status == statusDone }
 // PendingCount returns the number of queued exceptions and signals.
 func (t *Thread) PendingCount() int { return len(t.pending) }
 
-// StackDepth returns the current continuation-stack depth.
-func (t *Thread) StackDepth() int { return len(t.stack) }
-
 // StackHighWater returns the maximum continuation-stack depth observed.
 func (t *Thread) StackHighWater() int { return t.stackHighWater }
 
