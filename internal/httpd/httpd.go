@@ -30,9 +30,9 @@
 package httpd
 
 import (
-	"fmt"
 	"net"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -334,26 +334,33 @@ func readRequest(c *iomgr.Conn) core.IO[Request] {
 // single write, or — when Stream is set — a chunked head followed by
 // the stream's chunks and the terminating zero-chunk.
 func writeResponse(c *iomgr.Conn, r Response) core.IO[core.Unit] {
-	var b strings.Builder
+	// The head is appended into one buffer, the body after it: one
+	// allocation where fmt through a strings.Builder made a dozen.
+	b := make([]byte, 0, 96+len(r.Body))
 	if r.Stream != nil {
 		// Chunked transfer encoding is an HTTP/1.1 construct; streamed
 		// responses advertise 1.1 (still Connection: close).
-		fmt.Fprintf(&b, "HTTP/1.1 %d %s\r\n", r.Status, statusText(r.Status))
-		fmt.Fprintf(&b, "Transfer-Encoding: chunked\r\n")
+		b = append(b, "HTTP/1.1 "...)
 	} else {
-		fmt.Fprintf(&b, "HTTP/1.0 %d %s\r\n", r.Status, statusText(r.Status))
-		fmt.Fprintf(&b, "Content-Length: %d\r\n", len(r.Body))
+		b = append(b, "HTTP/1.0 "...)
 	}
-	fmt.Fprintf(&b, "Connection: close\r\n")
+	b = strconv.AppendInt(b, int64(r.Status), 10)
+	b = append(append(append(b, ' '), statusText(r.Status)...), "\r\n"...)
+	if r.Stream != nil {
+		b = append(b, "Transfer-Encoding: chunked\r\n"...)
+	} else {
+		b = strconv.AppendInt(append(b, "Content-Length: "...), int64(len(r.Body)), 10)
+		b = append(b, "\r\n"...)
+	}
+	b = append(b, "Connection: close\r\n"...)
 	for k, v := range r.Headers {
-		fmt.Fprintf(&b, "%s: %s\r\n", k, v)
+		b = append(append(append(append(b, k...), ": "...), v...), "\r\n"...)
 	}
-	b.WriteString("\r\n")
+	b = append(b, "\r\n"...)
 	if r.Stream == nil {
-		b.Write(r.Body)
-		return core.Void(c.Write([]byte(b.String())))
+		return core.Void(c.Write(append(b, r.Body...)))
 	}
-	head := core.Void(c.Write([]byte(b.String())))
+	head := core.Void(c.Write(b))
 	// The zero-chunk is owed even if the stream dies mid-way, so the
 	// client sees a well-formed (if truncated) body; a kill aimed at
 	// the connection still wins because Finally re-raises it.
@@ -368,11 +375,9 @@ func WriteChunk(c *iomgr.Conn, payload []byte) core.IO[core.Unit] {
 	if len(payload) == 0 {
 		return core.Void(c.Write([]byte("0\r\n\r\n")))
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%x\r\n", len(payload))
-	b.Write(payload)
-	b.WriteString("\r\n")
-	return core.Void(c.Write([]byte(b.String())))
+	b := strconv.AppendInt(make([]byte, 0, 20+len(payload)), int64(len(payload)), 16)
+	b = append(append(append(b, "\r\n"...), payload...), "\r\n"...)
+	return core.Void(c.Write(b))
 }
 
 func statusText(code int) string {

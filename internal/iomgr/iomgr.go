@@ -4,9 +4,9 @@
 // and interruptible (rules Stuck GetChar / Interrupt), while the rest
 // of the system keeps running.
 //
-// Each blocking call runs on its own goroutine; completion resolves a
-// first-class promise (docs/PROMISES.md) through sched.External, which
-// rides shard 0's mailbox. Launch returns that promise immediately, so
+// A call that must wait runs on its own goroutine; completion resolves
+// a first-class promise (docs/PROMISES.md) through sched.External,
+// which rides shard 0's mailbox. Launch returns that promise at once, so
 // a green thread can issue several operations and await them later
 // (pipelined I/O); Do launches and awaits in one interruptible
 // scheduler step. An interrupted wait optionally runs a cancel hook (to
@@ -14,13 +14,21 @@
 // for results that arrive after the waiter has gone (to avoid leaking
 // accepted connections).
 //
+// A Conn operation that can finish now takes no door: buffered bytes,
+// or one nonblocking read or write that succeeds (Unix sockets), finish
+// in the calling step with no goroutine, event or park — like taking a
+// full MVar (§5.3), no interruption point. Only the remainder waits.
+//
 // Programs doing real I/O should run on a RealClock runtime: the
 // virtual clock only advances when no external work is outstanding.
 package iomgr
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"net"
+	"syscall"
 
 	"asyncexc/internal/core"
 	"asyncexc/internal/exc"
@@ -43,15 +51,10 @@ func Launch[A any](name string, f func() (A, error)) core.IO[core.Promise[A]] {
 // promise was cancelled, so late results — an accepted connection,
 // say — are reclaimed instead of leaked.
 func LaunchCancel[A any](name string, f func() (A, error), cancel func(), dropped func(A)) core.IO[core.Promise[A]] {
-	return core.FromNode[core.Promise[A]](sched.Bind(launch(name, f, cancel, dropped), func(v any) sched.Node {
+	start, drop := hooks(name, f, cancel, dropped)
+	return core.FromNode[core.Promise[A]](sched.Bind(sched.LaunchPromise(name, start, drop), func(v any) sched.Node {
 		return sched.Return(core.PromiseFromRaw[A](v.(*sched.Promise)))
 	}))
-}
-
-// launch is LaunchCancel's scheduler node, returning the raw promise.
-func launch[A any](name string, f func() (A, error), cancel func(), dropped func(A)) sched.Node {
-	start, drop := hooks(name, f, cancel, dropped)
-	return sched.LaunchPromise(name, start, drop)
 }
 
 // hooks adapts f, cancel and dropped to the scheduler's untyped launch
@@ -140,23 +143,46 @@ func (l *Listener) Accept() core.IO[*Conn] {
 }
 
 // Close closes the listener; idempotent (a second close is a no-op,
-// which matters because interrupting an Accept also closes it).
+// which matters because interrupting an Accept also closes it). It
+// does not wait.
 func (l *Listener) Close() core.IO[core.Unit] {
-	return Do("close", func() (core.Unit, error) {
-		l.L.Close() //nolint:errcheck // idempotent close
-		return core.UnitValue, nil
-	})
+	return core.Lift(func() core.Unit { l.L.Close(); return core.UnitValue }) //nolint:errcheck // idempotent close
 }
 
 // Conn wraps a net.Conn with a buffered reader for line-oriented
 // protocols.
 type Conn struct {
-	C net.Conn
-	R *bufio.Reader
+	C   net.Conn
+	R   *bufio.Reader
+	rc  syscall.RawConn // nil: no file descriptor, so nothing is tried
+	now bool            // R's next read of C is one nonblocking read
+}
+
+// source is the Conn as R's reader: it reads C, or with now set makes
+// one nonblocking read of the socket (tryRaw) that fails, not waits.
+type source Conn
+
+var errNotNow = errors.New("iomgr: would wait")
+
+func (s *source) Read(p []byte) (int, error) {
+	if !s.now {
+		return s.C.Read(p)
+	}
+	if n, ok := tryRaw(s.rc, p, false); ok {
+		return n, nil
+	}
+	return 0, errNotNow
 }
 
 // NewConn wraps an accepted or dialed connection.
-func NewConn(c net.Conn) *Conn { return &Conn{C: c, R: bufio.NewReader(c)} }
+func NewConn(c net.Conn) *Conn {
+	cn := &Conn{C: c}
+	if sc, ok := c.(syscall.Conn); ok {
+		cn.rc, _ = sc.SyscallConn()
+	}
+	cn.R = bufio.NewReader((*source)(cn))
+	return cn
+}
 
 // Dial opens a TCP connection.
 func Dial(network, addr string) core.IO[*Conn] {
@@ -169,58 +195,89 @@ func Dial(network, addr string) core.IO[*Conn] {
 	})
 }
 
-// ReadLine reads one newline-terminated line (without the terminator).
-// Interrupting the reader closes the connection, which is the reaping
-// behaviour the timeout-driven server wants.
+// tryDoor is every Conn read and write. op(true, zero) tries to finish
+// in the calling step without waiting, so it is no interruption point;
+// what it cannot finish, op(false, partial) completes from its partial
+// result behind DoCancel's door, where an interrupt closes the
+// connection.
+func tryDoor[A any](c *Conn, name string, op func(now bool, partial A) (A, bool, error)) core.IO[A] {
+	return core.FromNode[A](sched.Delay(func() sched.Node {
+		var zero A
+		a, done, _ := op(true, zero)
+		if done {
+			return sched.Return(a)
+		}
+		return DoCancel(name, func() (A, error) {
+			a, _, err := op(false, a)
+			return a, err
+		}, c.closeQuietly, nil).Node()
+	}))
+}
+
+// fillNow makes one nonblocking read into R's buffer, reporting whether
+// it brought bytes.
+func (c *Conn) fillNow() bool {
+	c.now = true
+	_, err := c.R.Peek(c.R.Buffered() + 1)
+	c.now = false
+	return err == nil
+}
+
+// hasLine reports whether R's buffer holds a whole line.
+func (c *Conn) hasLine() bool {
+	b, _ := c.R.Peek(c.R.Buffered())
+	return bytes.IndexByte(b, '\n') >= 0
+}
+
+// ReadLine reads one newline-terminated line (without the terminator),
+// at once when it is buffered or one nonblocking read completes it.
+// Interrupting a reader that waits closes the connection, which is the
+// reaping behaviour the timeout-driven server wants.
 func (c *Conn) ReadLine() core.IO[string] {
-	return DoCancel("readLine",
-		func() (string, error) {
-			s, err := c.R.ReadString('\n')
-			if err != nil {
-				return "", err
-			}
-			return trimEOL(s), nil
-		},
-		func() { c.C.Close() }, //nolint:errcheck // unblock the read
-		nil,
-	)
+	return tryDoor(c, "readLine", func(now bool, _ string) (string, bool, error) {
+		if now && !c.hasLine() && !(c.fillNow() && c.hasLine()) {
+			return "", false, nil
+		}
+		s, err := c.R.ReadString('\n')
+		return trimEOL(s), true, err
+	})
 }
 
-// Read reads up to len(buf) bytes into a fresh buffer.
+// Read reads up to n bytes into a fresh buffer, at once when bytes are
+// buffered or one nonblocking read brings some.
 func (c *Conn) Read(n int) core.IO[[]byte] {
-	return DoCancel("read",
-		func() ([]byte, error) {
-			buf := make([]byte, n)
-			k, err := c.R.Read(buf)
-			if err != nil {
-				return nil, err
-			}
-			return buf[:k], nil
-		},
-		func() { c.C.Close() },
-		nil,
-	)
+	return tryDoor(c, "read", func(now bool, _ []byte) ([]byte, bool, error) {
+		if now && c.R.Buffered() == 0 && !c.fillNow() {
+			return nil, false, nil
+		}
+		buf := make([]byte, n)
+		k, err := c.R.Read(buf)
+		return buf[:k], true, err
+	})
 }
 
-// Write writes all of data.
+// Write writes all of data: one nonblocking write, then a wait for the
+// socket to take what that left.
 func (c *Conn) Write(data []byte) core.IO[int] {
-	return DoCancel("write",
-		func() (int, error) { return c.C.Write(data) },
-		func() { c.C.Close() },
-		nil,
-	)
+	return tryDoor(c, "write", func(now bool, sent int) (int, bool, error) {
+		if now {
+			n, _ := tryRaw(c.rc, data, true)
+			return n, n == len(data), nil
+		}
+		n, err := c.C.Write(data[sent:])
+		return sent + n, true, err
+	})
 }
 
 // WriteString writes a string.
 func (c *Conn) WriteString(s string) core.IO[int] { return c.Write([]byte(s)) }
 
-// Close closes the connection; safe to call twice.
+// Close closes the connection; safe to call twice. It does not wait.
 func (c *Conn) Close() core.IO[core.Unit] {
-	return Do("close", func() (core.Unit, error) {
-		c.C.Close() //nolint:errcheck // idempotent close
-		return core.UnitValue, nil
-	})
+	return core.Lift(func() core.Unit { c.closeQuietly(); return core.UnitValue })
 }
+
+func (c *Conn) closeQuietly() { c.C.Close() } //nolint:errcheck // idempotent close
 
 func trimEOL(s string) string {
 	for len(s) > 0 && (s[len(s)-1] == '\n' || s[len(s)-1] == '\r') {

@@ -71,11 +71,11 @@ func (h *timerHeap) Pop() any {
 	return tm
 }
 
-// armTimer puts a deadline d from now for t into this shard's heap. The
-// deadline saturates: a duration past the end of the clock waits
-// forever rather than wrapping into the past.
+// armTimer puts a deadline d from now (a fresh reading, syncClock) for
+// t into this shard's heap. The deadline saturates: a duration past the
+// end of the clock waits forever rather than wrapping into the past.
 func (rt *RT) armTimer(t *Thread, d time.Duration) *timer {
-	at := rt.nowNS()
+	at := rt.syncClock()
 	if int64(d) > math.MaxInt64-at {
 		at = math.MaxInt64
 	} else {

@@ -146,6 +146,35 @@ func TestRealClockSleepTakesRealTime(t *testing.T) {
 	}
 }
 
+// The real clock moves only at idle and every 32nd turn, so a step that
+// runs long leaves it behind. A deadline armed after such a step, and a
+// Now read there, must use the wall time, not the stale reading: the
+// sleep after a 20 ms Lift used to return after microseconds.
+func TestRealClockArmsTimersFromWallTime(t *testing.T) {
+	const busy, nap = 20 * time.Millisecond, 10 * time.Millisecond
+	opts := sched.DefaultOptions()
+	opts.Clock = sched.RealClock
+	var slept time.Duration
+	var start time.Time
+	main := seq(
+		sched.Lift(func() any { time.Sleep(busy); return nil }),
+		sched.Bind(sched.Now(), func(v any) sched.Node {
+			if now := time.Duration(v.(int64)); now < busy {
+				t.Errorf("Now after a %v step reads %v", busy, now)
+			}
+			start = time.Now()
+			return sched.Sleep(nap)
+		}),
+		sched.Lift(func() any { slept = time.Since(start); return nil }),
+	)
+	if _, err := sched.NewRT(opts).RunMain(main); err != nil {
+		t.Fatal(err)
+	}
+	if slept < nap*9/10 {
+		t.Fatalf("Sleep(%v) after a %v step returned after %v", nap, busy, slept)
+	}
+}
+
 func TestRealClockTimersInterleaveWithEvents(t *testing.T) {
 	opts := sched.DefaultOptions()
 	opts.Clock = sched.RealClock

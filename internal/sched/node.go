@@ -357,7 +357,7 @@ func FrameDepth() Node {
 // restart-intensity windows and backoff schedules reproducible.
 func Now() Node {
 	return primNode{name: "now", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{rt.nowNS()}, false
+		return retNode{rt.syncClock()}, false
 	}}
 }
 

@@ -639,26 +639,28 @@ func (rt *RT) steal() *Thread {
 	return t
 }
 
-// syncRealClockShard advances the engine clock to wall time and fires
-// this shard's due timers (RealClock mode). The heap lock is skipped
-// entirely when the shard holds no timers (the timerN probe); the
-// worker loop additionally amortizes the call to every 32nd iteration.
-func (rt *RT) syncRealClockShard() {
+// syncClock returns the engine clock, first advanced to wall time under
+// RealClock, so that a timer armed or a Now read mid-slice does not use
+// a reading that is many slices old. It fires no timers.
+func (rt *RT) syncClock() int64 {
 	e := rt.eng
-	now := int64(time.Since(e.realEpoch))
-	for {
-		cur := e.now.Load()
-		if now <= cur {
-			break
-		}
-		if e.now.CompareAndSwap(cur, now) {
-			break
+	for rt.opts.Clock == RealClock {
+		now, cur := int64(time.Since(e.realEpoch)), e.now.Load()
+		if now <= cur || e.now.CompareAndSwap(cur, now) {
+			return max(now, cur)
 		}
 	}
+	return e.now.Load()
+}
+
+// syncRealClockShard advances the engine clock to wall time and fires
+// this shard's due timers (RealClock mode), skipping the heap lock when
+// it holds none (timerN); the worker loop calls it every 32nd turn.
+func (rt *RT) syncRealClockShard() {
+	cur := rt.syncClock()
 	if rt.timerN.Load() == 0 {
 		return
 	}
-	cur := e.now.Load()
 	rt.smu.Lock()
 	due := rt.popDueTimersLocked(nil, cur)
 	rt.smu.Unlock()
@@ -768,11 +770,7 @@ func (rt *RT) idleShard() error {
 	if real && rt.timerN.Load() > 0 {
 		rt.smu.Lock()
 		if len(rt.timers) > 0 {
-			d := time.Duration(rt.timers[0].at - e.now.Load())
-			if d < 0 {
-				d = 0
-			}
-			if wait < 0 || d < wait {
+			if d := max(time.Duration(rt.timers[0].at-e.now.Load()), 0); wait < 0 || d < wait {
 				wait = d
 			}
 		}
@@ -798,8 +796,8 @@ func (rt *RT) idleShard() error {
 	rt.idling.Store(false)
 	e.idlers.Add(-1)
 	if real {
-		// The clock stood still while the worker was parked; whatever
-		// woke it must not arm a timer against the old reading.
+		// The clock stood still while the worker was parked: catch it
+		// up and fire the timers that came due meanwhile.
 		rt.syncRealClockShard()
 	}
 	return nil
