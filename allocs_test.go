@@ -28,22 +28,22 @@ func runAllocsPerOp(t *testing.T, iters int, mk func(iters int) core.IO[core.Uni
 }
 
 // TestStepAllocCeiling bounds allocations for the BenchmarkStep
-// workload (a pure Return chain): currently 4 allocs per step
-// (continuation nodes), with pooled bind frames contributing none.
+// workload (a pure Return chain): currently 2 allocs per iteration —
+// the >> node and ReplicateM_'s own closure for the next iteration;
+// return () is shared and pooled bind frames contribute none.
 func TestStepAllocCeiling(t *testing.T) {
 	const iters = 20000
 	perOp := runAllocsPerOp(t, iters, func(n int) core.IO[core.Unit] {
 		return core.ReplicateM_(n, core.Return(core.UnitValue))
 	})
-	if perOp > 6 {
-		t.Fatalf("Step workload allocates %.2f/op, ceiling 6", perOp)
+	if perOp > 3 {
+		t.Fatalf("Step workload allocates %.2f/op, ceiling 3", perOp)
 	}
 }
 
 // TestMVarPingPongAllocCeiling bounds allocations for the
 // BenchmarkMVarPingPong workload (a two-thread handoff cycle):
-// currently 14 allocs per round trip (16 while every park also boxed
-// a trace event).
+// currently 7 allocs per round trip.
 func TestMVarPingPongAllocCeiling(t *testing.T) {
 	const iters = 10000
 	perOp := runAllocsPerOp(t, iters, func(n int) core.IO[core.Unit] {
@@ -57,8 +57,8 @@ func TestMVarPingPongAllocCeiling(t *testing.T) {
 			})
 		})
 	})
-	if perOp > 16 {
-		t.Fatalf("MVar ping-pong workload allocates %.2f/op, ceiling 16", perOp)
+	if perOp > 9 {
+		t.Fatalf("MVar ping-pong workload allocates %.2f/op, ceiling 9", perOp)
 	}
 }
 

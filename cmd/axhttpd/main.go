@@ -119,7 +119,7 @@ func main() {
 				"try /hello /delay?ms=100 /spin /race /crash /stats\n"))
 	})
 	srv.Handle("/hello", func(r httpd.Request) core.IO[httpd.Response] {
-		return core.Return(httpd.Text(200, "hello, "+r.Remote+"\n"))
+		return core.Return(httpd.Text(200, "hello, "+r.Remote()+"\n"))
 	})
 	srv.Handle("/delay", func(r httpd.Request) core.IO[httpd.Response] {
 		ms := 100

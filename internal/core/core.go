@@ -87,7 +87,7 @@ func Pure[A any](v A) IO[A] { return Return(v) }
 
 // Bind sequences m before k, passing m's result to k (§3's >>=).
 func Bind[A, B any](m IO[A], k func(A) IO[B]) IO[B] {
-	return IO[B]{sched.Bind(m.node, func(v any) sched.Node { return k(v.(A)).node })}
+	return IO[B]{sched.BindK(m.node, kont[A, B](k))}
 }
 
 // Then sequences m before n, discarding m's result (Haskell's >>).
@@ -97,8 +97,23 @@ func Then[A, B any](m IO[A], n IO[B]) IO[B] {
 
 // Map applies a pure function to the result of m.
 func Map[A, B any](m IO[A], f func(A) B) IO[B] {
-	return Bind(m, func(a A) IO[B] { return Return(f(a)) })
+	return IO[B]{sched.BindK(m.node, mapK[A, B](f))}
 }
+
+// kont, mapK and handler adapt typed funcs to sched's Kont and Handler.
+// A func value converts to an interface without allocating, so Bind,
+// Map and Catch allocate their node and no wrapper closure.
+type kont[A, B any] func(A) IO[B]
+
+func (k kont[A, B]) Apply(v any) sched.Node { return k(v.(A)).node }
+
+type mapK[A, B any] func(A) B
+
+func (f mapK[A, B]) Apply(v any) sched.Node { return sched.Return(f(v.(A))) }
+
+type handler[A any] func(Exception) IO[A]
+
+func (h handler[A]) Handle(e exc.Exception) sched.Node { return h(e).node }
 
 // Void discards m's result.
 func Void[A any](m IO[A]) IO[Unit] {
@@ -117,7 +132,7 @@ func Seq(ms ...IO[Unit]) IO[Unit] {
 // Delay defers construction of an action until it runs; the standard
 // way to write recursive actions without infinite construction.
 func Delay[A any](f func() IO[A]) IO[A] {
-	return IO[A]{sched.Delay(func() sched.Node { return f().node })}
+	return IO[A]{sched.DelayOf[IO[A]](f)}
 }
 
 // Lift embeds an effectful Go function as one atomic runtime step: the
@@ -145,14 +160,14 @@ func Throw[A any](e Exception) IO[A] { return IO[A]{sched.Throw(e)} }
 // the handler restores the mask state the thread had when Catch began
 // (§8), which is what makes the safe-locking pattern of §5.2 sound.
 func Catch[A any](m IO[A], h func(Exception) IO[A]) IO[A] {
-	return IO[A]{sched.Catch(m.node, func(e exc.Exception) sched.Node { return h(e).node })}
+	return IO[A]{sched.CatchK(m.node, handler[A](h), false)}
 }
 
 // CatchNonAlert is Catch under the §9 two-datatype design: alert
 // exceptions (ThreadKilled, Timeout, ...) are not intercepted, so a
 // universal handler inside a timed computation cannot break Timeout.
 func CatchNonAlert[A any](m IO[A], h func(Exception) IO[A]) IO[A] {
-	return IO[A]{sched.CatchNonAlert(m.node, func(e exc.Exception) sched.Node { return h(e).node })}
+	return IO[A]{sched.CatchK(m.node, handler[A](h), true)}
 }
 
 // Handle is Catch with the arguments swapped.

@@ -51,7 +51,16 @@ type Request struct {
 	Path    string
 	Proto   string
 	Headers map[string]string
-	Remote  string
+	// remote is the peer's address, formatted only if a handler asks.
+	remote net.Addr
+}
+
+// Remote returns the peer's address as host:port, or "" when unknown.
+func (r Request) Remote() string {
+	if r.remote == nil {
+		return ""
+	}
+	return r.remote.String()
 }
 
 // Response is a handler's reply. Either Body (fixed-length) or Stream
@@ -310,7 +319,7 @@ func readRequest(c *iomgr.Conn) core.IO[Request] {
 			return core.Throw[Request](exc.IOError{Op: "request", Msg: "malformed request line: " + line})
 		}
 		req := Request{Method: parts[0], Path: parts[1], Headers: map[string]string{},
-			Remote: c.C.RemoteAddr().String()}
+			remote: c.C.RemoteAddr()}
 		if len(parts) == 3 {
 			req.Proto = parts[2]
 		}

@@ -19,7 +19,7 @@ func startServer(t *testing.T, cfg httpd.Config) (*httpd.Server, *httpd.Running)
 	t.Helper()
 	s := httpd.New(cfg)
 	s.Handle("/hello", func(r httpd.Request) core.IO[httpd.Response] {
-		return core.Return(httpd.Text(200, "hello "+r.Remote+"\n"))
+		return core.Return(httpd.Text(200, "hello "+r.Remote()+"\n"))
 	})
 	s.Handle("/slow", func(r httpd.Request) core.IO[httpd.Response] {
 		return core.Then(core.Sleep(time.Hour), core.Return(httpd.Text(200, "slept\n")))

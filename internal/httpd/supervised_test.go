@@ -14,7 +14,7 @@ func startSupervised(t *testing.T, cfg httpd.Config) (*httpd.Server, *httpd.Runn
 	t.Helper()
 	s := httpd.New(cfg)
 	s.Handle("/hello", func(r httpd.Request) core.IO[httpd.Response] {
-		return core.Return(httpd.Text(200, "hello "+r.Remote+"\n"))
+		return core.Return(httpd.Text(200, "hello "+r.Remote()+"\n"))
 	})
 	s.Handle("/boom", func(r httpd.Request) core.IO[httpd.Response] {
 		return core.ThrowErrorCall[httpd.Response]("handler exploded")

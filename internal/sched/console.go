@@ -3,6 +3,7 @@ package sched
 import (
 	"io"
 	"sync"
+	"unicode/utf8"
 )
 
 // console models the paper's standard input/output (§3): putChar
@@ -33,7 +34,7 @@ func (c *console) putChar(ch rune) {
 	c.mu.Unlock()
 	if mirror != nil {
 		var buf [4]byte
-		n := encodeRune(buf[:], ch)
+		n := utf8.EncodeRune(buf[:], ch)
 		mirror.Write(buf[:n]) //nolint:errcheck // transcript mirroring is best-effort
 	}
 }
@@ -121,9 +122,4 @@ func (rt *RT) Output() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return string(c.out)
-}
-
-// encodeRune UTF-8-encodes ch into buf and returns the byte count.
-func encodeRune(buf []byte, ch rune) int {
-	return copy(buf, string(ch))
 }

@@ -7,7 +7,11 @@
 // This package therefore implements the paper's §8 runtime design
 // directly: a user-level green-thread scheduler in which
 //
-//   - an IO computation is a tree of Nodes (a trampolined free monad),
+//   - an IO computation is a tree of Nodes (a trampolined free monad).
+//     Building one allocates at most the node itself, and nothing for
+//     a constant such as return (): a >>= or catch holds its
+//     continuation as a Kont or Handler, which a func type satisfies
+//     without a wrapper closure,
 //   - a Thread is a heap object holding the current Node, a stack of
 //     continuation frames (bind frames, catch frames that record the
 //     mask state, and block/unblock mask frames with the §8.1

@@ -1,11 +1,11 @@
 package sched
 
-import "asyncexc/internal/exc"
-
 // frame is one entry on a thread's continuation stack. The three frame
 // kinds correspond exactly to the implementation design of §8:
 //
-//   - bindFrame: the continuation of a >>= (pushed by bindNode);
+//   - bindFrame: the continuation of a >>= or >> (pushed by bindNode
+//     and thenNode): a Kont applied to the result, or for >> the next
+//     node itself, so m >> n needs no closure returning n;
 //   - catchFrame: a handler plus the mask state at the time the frame
 //     was pushed ("Extend the catch frame to include the state
 //     (blocked or unblocked) of asynchronous exceptions at the time
@@ -19,12 +19,15 @@ import "asyncexc/internal/exc"
 // the three possible mask frames are shared singletons.
 type frame interface{ frameKind() string }
 
-type bindFrame struct{ k func(any) Node }
+type bindFrame struct {
+	k Kont
+	n Node
+}
 
 func (*bindFrame) frameKind() string { return "bind" }
 
 type catchFrame struct {
-	h          func(exc.Exception) Node
+	h          Handler
 	saved      MaskState
 	skipAlerts bool
 }
@@ -49,24 +52,24 @@ var maskFrames = [3]*maskFrame{
 // dropped for the GC. Stack-segment pooling is bounded separately.
 const freeListCap = 1024
 
-func (rt *RT) newBindFrame(k func(any) Node) *bindFrame {
+func (rt *RT) newBindFrame(k Kont, next Node) *bindFrame {
 	if n := len(rt.freeBind); n > 0 {
 		f := rt.freeBind[n-1]
 		rt.freeBind = rt.freeBind[:n-1]
-		f.k = k
+		f.k, f.n = k, next
 		return f
 	}
-	return &bindFrame{k: k}
+	return &bindFrame{k, next}
 }
 
 func (rt *RT) putBindFrame(f *bindFrame) {
-	f.k = nil
+	f.k, f.n = nil, nil
 	if len(rt.freeBind) < freeListCap {
 		rt.freeBind = append(rt.freeBind, f)
 	}
 }
 
-func (rt *RT) newCatchFrame(h func(exc.Exception) Node, saved MaskState, skipAlerts bool) *catchFrame {
+func (rt *RT) newCatchFrame(h Handler, saved MaskState, skipAlerts bool) *catchFrame {
 	if n := len(rt.freeCatch); n > 0 {
 		f := rt.freeCatch[n-1]
 		rt.freeCatch = rt.freeCatch[:n-1]

@@ -33,9 +33,9 @@ func TestEntryLedger(t *testing.T) {
 
 		environment := Bind(Fork(swallow(parkForever)), func(v any) Node {
 			tid := v.(ThreadID)
-			return Then(settle, primNode{name: "interrupt", step: func(rt *RT, _ *Thread) (Node, bool) {
+			return Then(settle, primNode{func(rt *RT, _ *Thread) (Node, bool) {
 				rt.External(func(rt *RT) { rt.Interrupt(tid, kill) })
-				return retNode{UnitValue}, false
+				return unitRet, false
 			}})
 		})
 		// Forked under Block, the child never reaches a delivery point:

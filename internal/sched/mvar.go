@@ -167,7 +167,7 @@ func (rt *RT) putMVar(t *Thread, mv *MVar, v any) (Node, bool) {
 			rt.deliverUnpark(woke, v, nil)
 		}
 		rt.stats.MVarPuts++
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}
 	rt.park(t, parkInfo{kind: parkPutMVar, q: &mv.putters, mu: &mv.mu, id: mv.id, putVal: v})
 	mv.mu.Unlock()

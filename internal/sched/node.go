@@ -12,11 +12,30 @@ import (
 // parameter; the scheduler interprets them one Node per step.
 //
 // The Node grammar mirrors the monadic values of Figure 1 of the paper:
-// return, >>=, throw, catch, block, unblock are structural; everything
-// that touches the world (MVars, forkIO, throwTo, sleep, putChar,
-// getChar, ...) is a primNode whose step function runs inside the
-// scheduler loop.
+// return, >>=, >>, throw, catch, block, unblock are structural;
+// everything that touches the world (MVars, forkIO, throwTo, sleep,
+// putChar, getChar, ...) is a primNode whose step function runs inside
+// the scheduler loop.
+//
+// Building a node allocates at most the node itself; a constant one,
+// such as return () or a primNode (one pointer: its step func), nothing.
 type Node interface{ nodeKind() string }
+
+// Kont is the continuation of a >>=. A func type satisfies it, and
+// Handler, without a wrapper closure: kfun and hfun here, core's typed
+// adapters there.
+type Kont interface{ Apply(v any) Node }
+
+// Handler is the handler of a catch.
+type Handler interface{ Handle(e exc.Exception) Node }
+
+type kfun func(any) Node
+
+func (f kfun) Apply(v any) Node { return f(v) }
+
+type hfun func(exc.Exception) Node
+
+func (f hfun) Handle(e exc.Exception) Node { return f(e) }
 
 // Unit is the value carried by actions of type IO (); the runtime uses
 // a single shared value so tests can compare against it.
@@ -29,12 +48,22 @@ type retNode struct{ v any }
 
 func (retNode) nodeKind() string { return "return" }
 
+// unitRet is return (): every action and primitive step that yields
+// Unit shares it instead of boxing a fresh retNode.
+var unitRet Node = retNode{Unit{}}
+
 type bindNode struct {
 	m Node
-	k func(any) Node
+	k Kont
 }
 
 func (bindNode) nodeKind() string { return ">>=" }
+
+// thenNode is m >> n: a bind whose continuation ignores m's result, so
+// its bind frame carries n itself rather than a closure returning it.
+type thenNode struct{ m, n Node }
+
+func (thenNode) nodeKind() string { return ">>" }
 
 type throwNode struct{ e exc.Exception }
 
@@ -42,7 +71,7 @@ func (throwNode) nodeKind() string { return "throw" }
 
 type catchNode struct {
 	m Node
-	h func(exc.Exception) Node
+	h Handler
 	// skipAlerts implements the §9 two-datatype design: when set, the
 	// handler does not intercept alert exceptions, which continue to
 	// propagate.
@@ -58,16 +87,7 @@ type maskNode struct {
 	to MaskState
 }
 
-func (n maskNode) nodeKind() string {
-	switch n.to {
-	case Masked:
-		return "block"
-	case Unmasked:
-		return "unblock"
-	default:
-		return "blockUninterruptible"
-	}
-}
+func (maskNode) nodeKind() string { return "mask" }
 
 // delayNode defers construction of an action until it is stepped,
 // allowing recursive definitions (f = Delay(func() Node { ... f ... }))
@@ -76,32 +96,48 @@ type delayNode struct{ f func() Node }
 
 func (delayNode) nodeKind() string { return "delay" }
 
+// DelayOf is Delay for typed callers: a func returning a T with a Node
+// method (core's IO[A]) is itself a delay node, with no wrapper closure.
+type DelayOf[T interface{ Node() Node }] func() T
+
+func (DelayOf[T]) nodeKind() string { return "delay" }
+
+func (f DelayOf[T]) force() Node { return f().Node() }
+
 // primNode is a scheduler primitive. step runs in the scheduler loop
 // with the running thread; it returns the continuation Node, or parks
 // the thread itself and reports parked=true (in which case next is
 // ignored).
 type primNode struct {
-	name string
 	step func(rt *RT, t *Thread) (next Node, parked bool)
 }
 
-func (p primNode) nodeKind() string { return p.name }
+func (primNode) nodeKind() string { return "prim" }
 
 // ---------------------------------------------------------------------
 // Constructors (the untyped core calculus)
 // ---------------------------------------------------------------------
 
 // Return is the monadic unit: an action that immediately yields v.
-func Return(v any) Node { return retNode{v} }
+func Return(v any) Node {
+	if _, ok := v.(Unit); ok {
+		return unitRet
+	}
+	return retNode{v}
+}
 
 // ReturnUnit is an action yielding the Unit value.
-func ReturnUnit() Node { return retNode{UnitValue} }
+func ReturnUnit() Node { return unitRet }
 
 // Bind sequences m before k, passing m's result to k (the >>= of §3).
-func Bind(m Node, k func(any) Node) Node { return bindNode{m, k} }
+func Bind(m Node, k func(any) Node) Node { return bindNode{m, kfun(k)} }
+
+// BindK is Bind with the continuation as a Kont, for typed callers
+// whose func types implement it.
+func BindK(m Node, k Kont) Node { return bindNode{m, k} }
 
 // Then sequences m before n, discarding m's result (Haskell's >>).
-func Then(m Node, n Node) Node { return bindNode{m, func(any) Node { return n }} }
+func Then(m Node, n Node) Node { return thenNode{m, n} }
 
 // Throw raises the synchronous exception e (§4).
 func Throw(e exc.Exception) Node { return throwNode{e} }
@@ -109,14 +145,13 @@ func Throw(e exc.Exception) Node { return throwNode{e} }
 // Catch runs m; if m raises an exception (synchronously or
 // asynchronously), h runs with it (§4). Entering the handler restores
 // the mask state the thread had when Catch began (§8, catch frames).
-func Catch(m Node, h func(exc.Exception) Node) Node { return catchNode{m: m, h: h} }
+func Catch(m Node, h func(exc.Exception) Node) Node { return catchNode{m: m, h: hfun(h)} }
 
-// CatchNonAlert is Catch restricted to non-alert exceptions, the
-// two-datatype design sketched in §9: alert exceptions (ThreadKilled,
-// Timeout, ...) pass through the handler untouched.
-func CatchNonAlert(m Node, h func(exc.Exception) Node) Node {
-	return catchNode{m: m, h: h, skipAlerts: true}
-}
+// CatchK is Catch with the handler as a Handler. With skipAlerts it is
+// restricted to non-alert exceptions, the two-datatype design sketched
+// in §9: alert exceptions (ThreadKilled, Timeout, ...) pass through the
+// handler untouched.
+func CatchK(m Node, h Handler, skipAlerts bool) Node { return catchNode{m, h, skipAlerts} }
 
 // Block executes m with asynchronous-exception delivery blocked
 // (§5.2). Nesting does not count: two nested Blocks behave as one.
@@ -144,27 +179,27 @@ func Delay(f func() Node) Node { return delayNode{f} }
 // Asynchronous exceptions are delivered only between steps, never
 // inside f.
 func Lift(f func() any) Node {
-	return primNode{name: "lift", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{f()}, false
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
+		return Return(f()), false
 	}}
 }
 
 // LiftErr embeds a Go function that may fail; a non-nil exception is
 // raised synchronously.
 func LiftErr(f func() (any, exc.Exception)) Node {
-	return primNode{name: "liftErr", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		v, e := f()
 		if e != nil {
 			return throwNode{e}, false
 		}
-		return retNode{v}, false
+		return Return(v), false
 	}}
 }
 
 // GetMask returns the thread's current mask state (an introspection
 // helper used by combinators and tests; GHC's getMaskingState).
 func GetMask() Node {
-	return primNode{name: "getMask", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return retNode{t.mask}, false
 	}}
 }
@@ -177,7 +212,7 @@ func Fork(m Node) Node { return ForkNamed(m, "") }
 
 // ForkNamed is Fork with a debug name attached to the child thread.
 func ForkNamed(m Node, name string) Node {
-	return primNode{name: "forkIO", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		child := rt.spawn(m, name, t.mask, t.id)
 		return retNode{child.id}, false
 	}}
@@ -190,7 +225,7 @@ func ForkNamed(m Node, name string) Node {
 // deterministically instead of waiting for work stealing; with one
 // shard it is ForkNamed.
 func ForkOn(shard int, m Node, name string) Node {
-	return primNode{name: "forkOn", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		child := rt.spawnOn(shard, m, name, t.mask, t.id)
 		return retNode{child.id}, false
 	}}
@@ -198,16 +233,16 @@ func ForkOn(shard int, m Node, name string) Node {
 
 // MyThreadID returns the calling thread's ThreadID (§4).
 func MyThreadID() Node {
-	return primNode{name: "myThreadId", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return retNode{t.id}, false
 	}}
 }
 
 // Yield cedes the remainder of the thread's time slice.
 func Yield() Node {
-	return primNode{name: "yield", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		t.sliceLeft = 0
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -217,9 +252,9 @@ func Yield() Node {
 // and Interrupt). Sleep with d <= 0 returns immediately and is not an
 // interruption point.
 func Sleep(d time.Duration) Node {
-	return primNode{name: "sleep", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		if d <= 0 {
-			return retNode{UnitValue}, false
+			return unitRet, false
 		}
 		if n, interrupted := t.raisePendingForPark(); interrupted {
 			return n, false
@@ -235,27 +270,27 @@ func Sleep(d time.Duration) Node {
 // caller waits until the exception has been delivered, and the wait is
 // itself interruptible (§9).
 func ThrowTo(tid ThreadID, e exc.Exception) Node {
-	return primNode{name: "throwTo", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return rt.throwTo(t, tid, e)
 	}}
 }
 
 // PutChar writes a character to the runtime console (§3).
 func PutChar(ch rune) Node {
-	return primNode{name: "putChar", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		rt.console.putChar(ch)
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
 // PutStr writes a string to the runtime console as a single step; a
 // convenience that keeps example output atomic.
 func PutStr(s string) Node {
-	return primNode{name: "putStr", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		for _, ch := range s {
 			rt.console.putChar(ch)
 		}
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -263,21 +298,21 @@ func PutStr(s string) Node {
 // input is available (§3). A parked reader is stuck and interruptible
 // (Figure 5, rules Stuck GetChar and Interrupt).
 func GetChar() Node {
-	return primNode{name: "getChar", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return rt.getCharOrPark(t)
 	}}
 }
 
 // NewEmptyMVar creates a fresh empty MVar (§4).
 func NewEmptyMVar() Node {
-	return primNode{name: "newEmptyMVar", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return retNode{rt.newMVar(false, nil)}, false
 	}}
 }
 
 // NewMVar creates a fresh MVar holding v.
 func NewMVar(v any) Node {
-	return primNode{name: "newMVar", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return retNode{rt.newMVar(true, v)}, false
 	}}
 }
@@ -287,7 +322,7 @@ func NewMVar(v any) Node {
 // still receive asynchronous exceptions, but only until the value is
 // acquired (§5.3).
 func TakeMVar(mv *MVar) Node {
-	return primNode{name: "takeMVar", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return rt.takeMVar(t, mv, noDeadline)
 	}}
 }
@@ -302,7 +337,7 @@ func TakeMVarFor(mv *MVar, d time.Duration) Node {
 	if d < 0 {
 		d = 0
 	}
-	return primNode{name: "takeMVarFor", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return rt.takeMVar(t, mv, d)
 	}}
 }
@@ -313,7 +348,7 @@ func TakeMVarFor(mv *MVar, d time.Duration) Node {
 // not an interruption point (§5.3) — the property the safe-locking
 // pattern's exception handler relies on.
 func PutMVar(mv *MVar, v any) Node {
-	return primNode{name: "putMVar", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return rt.putMVar(t, mv, v)
 	}}
 }
@@ -322,7 +357,7 @@ func PutMVar(mv *MVar, v any) Node {
 // mv (or handed the value to a waiting taker). Never an interruption
 // point.
 func TryPutMVar(mv *MVar, v any) Node {
-	return primNode{name: "tryPutMVar", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return retNode{rt.tryPutMVar(mv, v)}, false
 	}}
 }
@@ -338,7 +373,7 @@ type TryResult struct {
 // Steps returns the total number of scheduler steps executed so far; a
 // Lift-able introspection hook used by fault-injection tests.
 func Steps() Node {
-	return primNode{name: "steps", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		rt.publishStats()
 		return retNode{rt.Stats().Steps}, false
 	}}
@@ -347,7 +382,7 @@ func Steps() Node {
 // FrameDepth returns the calling thread's current continuation-stack
 // depth; used by the §8.1 constant-stack tests and benchmarks.
 func FrameDepth() Node {
-	return primNode{name: "frameDepth", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return retNode{len(t.stack)}, false
 	}}
 }
@@ -356,7 +391,7 @@ func FrameDepth() Node {
 // clock this is deterministic, which is what lets supervisors keep
 // restart-intensity windows and backoff schedules reproducible.
 func Now() Node {
-	return primNode{name: "now", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return retNode{rt.syncClock()}, false
 	}}
 }
@@ -365,7 +400,7 @@ func Now() Node {
 // including the caller; the thread-leak assertion used by supervision
 // and chaos tests.
 func LiveThreads() Node {
-	return primNode{name: "liveThreads", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return retNode{int(rt.eng.live.Load())}, false
 	}}
 }
@@ -373,7 +408,7 @@ func LiveThreads() Node {
 // GetStats returns a copy of the scheduler counters, so servers can
 // surface runtime observability (e.g. httpd's /stats) from inside IO.
 func GetStats() Node {
-	return primNode{name: "getStats", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		rt.publishStats()
 		return retNode{rt.Stats()}, false
 	}}
@@ -383,7 +418,7 @@ func GetStats() Node {
 // one entry per shard, so servers can surface per-shard observability (e.g.
 // httpd's /stats) from inside IO.
 func GetShardStats() Node {
-	return primNode{name: "getShardStats", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		rt.publishStats()
 		return retNode{rt.ShardStats()}, false
 	}}
@@ -397,31 +432,19 @@ func GetShardStats() Node {
 // link that lets a trace walk from a throwTo to the restart that
 // answered it.
 func NoteRestartNamed(child string, span uint64) Node {
-	return primNode{name: "noteRestart", step: func(rt *RT, t *Thread) (Node, bool) {
-		rt.stats.SupervisorRestarts++
-		rt.obsNote(t, obs.KindRestart, child, 0, span)
-		return retNode{UnitValue}, false
-	}}
+	return note(obs.KindRestart, child, 0, span, func(s *Stats, _ uint64) { s.SupervisorRestarts++ })
 }
 
 // NoteShed bumps the Shed counter (admission refused) and records a
 // KindShed obs event.
 func NoteShed() Node {
-	return primNode{name: "noteShed", step: func(rt *RT, t *Thread) (Node, bool) {
-		rt.stats.Shed++
-		rt.obsNote(t, obs.KindShed, "", 0, 0)
-		return retNode{UnitValue}, false
-	}}
+	return note(obs.KindShed, "", 0, 0, func(s *Stats, _ uint64) { s.Shed++ })
 }
 
 // NoteRetry bumps the Retries counter (an attempt re-run) and records
 // a KindRetry obs event.
 func NoteRetry() Node {
-	return primNode{name: "noteRetry", step: func(rt *RT, t *Thread) (Node, bool) {
-		rt.stats.Retries++
-		rt.obsNote(t, obs.KindRetry, "", 0, 0)
-		return retNode{UnitValue}, false
-	}}
+	return note(obs.KindRetry, "", 0, 0, func(s *Stats, _ uint64) { s.Retries++ })
 }
 
 // NoteBreakerTransition records a circuit-breaker state change as a
@@ -429,23 +452,17 @@ func NoteRetry() Node {
 // codes (0 closed, 1 open, 2 half-open). Transitions into open also
 // bump the BreakerOpen counter (a breaker tripped).
 func NoteBreakerTransition(name string, from, to int) Node {
-	return primNode{name: "noteBreakerTransition", step: func(rt *RT, t *Thread) (Node, bool) {
-		if to == 1 {
-			rt.stats.BreakerOpen++
-		}
-		rt.obsNote(t, obs.KindBreaker, name, obs.PackTransition(from, to), 0)
-		return retNode{UnitValue}, false
-	}}
+	var bump func(*Stats, uint64)
+	if to == 1 {
+		bump = func(s *Stats, _ uint64) { s.BreakerOpen++ }
+	}
+	return note(obs.KindBreaker, name, obs.PackTransition(from, to), 0, bump)
 }
 
 // NoteDeadlineExpired bumps the DeadlineExpired counter and records a
 // KindDeadline obs event.
 func NoteDeadlineExpired() Node {
-	return primNode{name: "noteDeadlineExpired", step: func(rt *RT, t *Thread) (Node, bool) {
-		rt.stats.DeadlineExpired++
-		rt.obsNote(t, obs.KindDeadline, "", 0, 0)
-		return retNode{UnitValue}, false
-	}}
+	return note(obs.KindDeadline, "", 0, 0, func(s *Stats, _ uint64) { s.DeadlineExpired++ })
 }
 
 // CurrentSpan returns the obs span id of the most recently delivered
@@ -454,7 +471,7 @@ func NoteDeadlineExpired() Node {
 // is configured). Handlers use it to tag their cleanup work with the
 // span of the exception that triggered it.
 func CurrentSpan() Node {
-	return primNode{name: "currentSpan", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return retNode{t.excSpan}, false
 	}}
 }
@@ -467,7 +484,7 @@ func CurrentSpan() Node {
 // child's death) can still link its follow-up work to the exception's
 // span.
 func LastCaughtSpan() Node {
-	return primNode{name: "lastCaughtSpan", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return retNode{t.lastSpan}, false
 	}}
 }
@@ -479,7 +496,7 @@ func LastCaughtSpan() Node {
 // Observer) for the caller to carry in the frame, where the receiving
 // node's injection records it as Arg — joining the two nodes' traces.
 func NoteRemoteThrowTo(peer string, e exc.Exception) Node {
-	return primNode{name: "noteRemoteThrowTo", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		if rt.olog == nil {
 			return retNode{uint64(0)}, false
 		}
@@ -500,7 +517,7 @@ func NoteRemoteThrowTo(peer string, e exc.Exception) Node {
 // handle events join into one send → deliver → handle chain — the
 // same discipline the throwTo → deliver → catch spans follow.
 func NoteActorSend(mailbox string, count uint64) Node {
-	return primNode{name: "noteActorSend", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		rt.stats.ActorSends += count
 		if rt.olog == nil {
 			return retNode{uint64(0)}, false
@@ -519,21 +536,33 @@ func NoteActorSend(mailbox string, count uint64) Node {
 // KindActorDeliver event carrying the send span of the first message
 // delivered.
 func NoteActorDeliver(mailbox string, count uint64, span uint64) Node {
-	return primNode{name: "noteActorDeliver", step: func(rt *RT, t *Thread) (Node, bool) {
-		rt.stats.ActorDeliveries += count
-		rt.obsNote(t, obs.KindActorDeliver, mailbox, count, span)
-		return retNode{UnitValue}, false
-	}}
+	return note(obs.KindActorDeliver, mailbox, count, span, func(s *Stats, n uint64) { s.ActorDeliveries += n })
 }
 
 // NoteActorHandle records an actor handler completing over count
 // delivered messages: bumps ActorHandled and records a
 // KindActorHandle event with the same send span, closing the chain.
 func NoteActorHandle(mailbox string, count uint64, span uint64) Node {
-	return primNode{name: "noteActorHandle", step: func(rt *RT, t *Thread) (Node, bool) {
-		rt.stats.ActorHandled += count
-		rt.obsNote(t, obs.KindActorHandle, mailbox, count, span)
-		return retNode{UnitValue}, false
+	return note(obs.KindActorHandle, mailbox, count, span, func(s *Stats, n uint64) { s.ActorHandled += n })
+}
+
+// note is the shape of the counting Note primitives: bump a Stats
+// counter (given arg; nil bumps nothing) and record a kind event from
+// the calling thread. span links the event into an exception's trace
+// (restart: the span that killed the child) and is 0 for the kinds
+// that have no such link.
+func note(kind obs.Kind, label string, arg, span uint64, bump func(*Stats, uint64)) Node {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
+		if bump != nil {
+			bump(&rt.stats, arg)
+		}
+		if rt.olog != nil {
+			rt.olog.Record(obs.Event{
+				TS: rt.nowNS(), Span: span, Thread: int64(t.id), Arg: arg,
+				Label: label, Kind: kind,
+			})
+		}
+		return unitRet, false
 	}}
 }
 
@@ -544,7 +573,7 @@ func NoteActorHandle(mailbox string, count uint64, span uint64) Node {
 // watermark. The read is one atomic load per shard (the mailN pending
 // counter), taking no locks.
 func MailboxDepths() Node {
-	return primNode{name: "mailboxDepths", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		out := make([]int, len(rt.eng.shards))
 		for i, sh := range rt.eng.shards {
 			out[i] = int(sh.mailN.Load())

@@ -224,18 +224,3 @@ func (rt *RT) obsSignalDeliver(t *Thread, p pendingExc) {
 		Mask: uint8(t.mask),
 	})
 }
-
-// obsNote records a resilience/supervision event (shed, retry,
-// breaker transition, deadline, restart, remote throwTo) from the
-// thread that observed it. span links the event into an exception's
-// trace (restart: the span that killed the child; remote throwTo: the
-// wire span) and is 0 for the kinds that have no such link.
-func (rt *RT) obsNote(t *Thread, kind obs.Kind, label string, arg uint64, span uint64) {
-	if rt.olog == nil {
-		return
-	}
-	rt.olog.Record(obs.Event{
-		TS: rt.nowNS(), Span: span, Thread: int64(t.id), Arg: arg,
-		Label: label, Kind: kind,
-	})
-}

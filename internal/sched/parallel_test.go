@@ -249,9 +249,9 @@ func TestParallelExternalInterrupt(t *testing.T) {
 	rt := NewRT(parOpts(4))
 	fired := make(chan struct{})
 	main := Catch(
-		Bind(primNode{name: "signal", step: func(rt *RT, t *Thread) (Node, bool) {
+		Bind(primNode{func(rt *RT, t *Thread) (Node, bool) {
 			close(fired)
-			return retNode{UnitValue}, false
+			return unitRet, false
 		}}, func(any) Node { return Sleep(time.Hour) }),
 		func(e exc.Exception) Node { return Return(e) })
 	go func() {
@@ -280,7 +280,7 @@ func TestExternalFloodNeverBlocks(t *testing.T) {
 		// callbacks touch it, and RunMain's return publishes it to us.
 		next := make([]int, producers)
 		var ran, wrong atomic.Int64
-		flood := primNode{name: "flood", step: func(*RT, *Thread) (Node, bool) {
+		flood := primNode{func(*RT, *Thread) (Node, bool) {
 			var wg sync.WaitGroup
 			for p := 0; p < producers; p++ {
 				wg.Add(1)
@@ -301,7 +301,7 @@ func TestExternalFloodNeverBlocks(t *testing.T) {
 			go func() { wg.Wait(); close(returned) }()
 			select {
 			case <-returned:
-				return retNode{UnitValue}, false
+				return unitRet, false
 			case <-time.After(30 * time.Second):
 				return throwNode{exc.ErrorCall{Msg: "External blocked its caller"}}, false
 			}
@@ -340,9 +340,9 @@ func TestParallelConsole(t *testing.T) {
 		done := a.(*MVar)
 		reader := Bind(GetChar(), func(ch any) Node { return PutMVar(done, ch) })
 		return Bind(Fork(reader), func(any) Node {
-			return Bind(primNode{name: "armed", step: func(rt *RT, t *Thread) (Node, bool) {
+			return Bind(primNode{func(rt *RT, t *Thread) (Node, bool) {
 				close(fired)
-				return retNode{UnitValue}, false
+				return unitRet, false
 			}}, func(any) Node {
 				return TakeMVar(done)
 			})

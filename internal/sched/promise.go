@@ -105,21 +105,22 @@ func (rt *RT) newPromise(name string) *Promise {
 
 // NewPromiseNode creates a promise from a running thread.
 func NewPromiseNode(name string) Node {
-	return primNode{name: "newPromise", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return retNode{rt.newPromise(name)}, false
 	}}
 }
 
-// settlePromise performs the single state transition of a promise:
+// SettlePromise performs the single state transition of a promise:
 // pending → resolved (cancelled=false) or pending → cancelled. It
 // reports whether this call won — a promise settles exactly once, and
 // losers observe false. Must run inside the scheduler (any shard; the
-// transition itself is guarded by p.mu).
-func (rt *RT) settlePromise(p *Promise, v any, e exc.Exception, cancelled bool) bool {
+// transition itself is guarded by p.mu); ChainPromise callbacks use it
+// to settle derived promises from inside a source's settlement.
+func (rt *RT) SettlePromise(p *Promise, v any, e exc.Exception, cancelled bool) bool {
 	return rt.settle(p, v, e, cancelled, nil)
 }
 
-// settle is settlePromise plus, for detachParked, a thread parked on p
+// settle is SettlePromise plus, for detachParked, a thread parked on p
 // to detach: the call wins only by removing it from p's waiters in the
 // same critical section, and loses if a settlement popped it first.
 func (rt *RT) settle(p *Promise, v any, e exc.Exception, cancelled bool, detach *Thread) bool {
@@ -182,27 +183,19 @@ func (rt *RT) settle(p *Promise, v any, e exc.Exception, cancelled bool, detach 
 	return true
 }
 
-// SettlePromise is the exported settle entry for ChainPromise
-// callbacks (the core combinators settle derived promises from inside
-// a source's settlement). Same contract as the internal transition:
-// returns whether this call won the resolve-once race.
-func (rt *RT) SettlePromise(p *Promise, v any, e exc.Exception, cancelled bool) bool {
-	return rt.settlePromise(p, v, e, cancelled)
-}
-
 // ResolvePromise settles p with value v; returns whether this call won
 // the resolve-once race (false: p was already settled).
 func ResolvePromise(p *Promise, v any) Node {
-	return primNode{name: "resolve", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{rt.settlePromise(p, v, nil, false)}, false
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
+		return retNode{rt.SettlePromise(p, v, nil, false)}, false
 	}}
 }
 
 // ResolvePromiseExc settles p with a rejection exception; awaiters see
 // it raised at their await site.
 func ResolvePromiseExc(p *Promise, e exc.Exception) Node {
-	return primNode{name: "resolveExc", step: func(rt *RT, t *Thread) (Node, bool) {
-		return retNode{rt.settlePromise(p, nil, e, false)}, false
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
+		return retNode{rt.SettlePromise(p, nil, e, false)}, false
 	}}
 }
 
@@ -211,8 +204,8 @@ func ResolvePromiseExc(p *Promise, e exc.Exception) Node {
 // a PromiseCancelled asynchronous exception, and the external-cancel
 // hook runs. Returns whether this call won the settle race.
 func CancelPromise(p *Promise) Node {
-	return primNode{name: "cancelPromise", step: func(rt *RT, t *Thread) (Node, bool) {
-		won := rt.settlePromise(p, nil, nil, true)
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
+		won := rt.SettlePromise(p, nil, nil, true)
 		if won && !p.reap {
 			// Reap promises tear their producers down inside the
 			// settlement itself; for ordinary promises the canceller
@@ -235,7 +228,7 @@ func CancelPromise(p *Promise) Node {
 // the forker's mask, per the revised (Fork) rule; callers wanting the
 // Async contract of an unmasked body pass an Unblock-wrapped node.
 func AsyncNode(name string, body Node) Node {
-	return primNode{name: "async", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		p := rt.newPromise(name)
 		child := rt.newThread(body, name, t.mask)
 		child.settle = p
@@ -258,7 +251,7 @@ func AsyncNode(name string, body Node) Node {
 // The caller's mask is inherited by the producers; bodies are
 // Unblock-wrapped by the core layer so alternatives run unmasked.
 func SpeculateNode(name string, bodies []Node) Node {
-	return primNode{name: "speculate", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		p := rt.newPromise(name)
 		p.reap = true
 		// Register every producer before publishing any: a published
@@ -289,7 +282,7 @@ func SpeculateNode(name string, bodies []Node) Node {
 // interruption point — while the about-to-wait case raises pending
 // asynchronous exceptions first, exactly like takeMVar.
 func AwaitPromise(p *Promise) Node {
-	return primNode{name: "awaitPromise", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return rt.awaitPromise(t, p, nil)
 	}}
 }
@@ -307,7 +300,7 @@ func (rt *RT) awaitPromise(t *Thread, p, cancel *Promise) (Node, bool) {
 		// cancelled.
 		if n, interrupted := t.raisePendingForPark(); interrupted {
 			if cancel != nil {
-				rt.settlePromise(cancel, nil, nil, true)
+				rt.SettlePromise(cancel, nil, nil, true)
 			}
 			return n, false
 		}
@@ -331,7 +324,7 @@ func (rt *RT) awaitPromise(t *Thread, p, cancel *Promise) (Node, bool) {
 // the value when resolved; a rejection/cancellation is raised; Ok
 // false while pending.
 func TryAwaitPromise(p *Promise) Node {
-	return primNode{name: "tryAwait", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		p.mu.Lock()
 		st, v, e := p.state, p.val, p.exc
 		p.mu.Unlock()
@@ -353,17 +346,17 @@ func TryAwaitPromise(p *Promise) Node {
 // must confine itself to scheduler-safe operations (settling other
 // promises is the intended use).
 func ChainPromise(p *Promise, fn func(rt *RT, v any, e exc.Exception, cancelled bool)) Node {
-	return primNode{name: "chainPromise", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		p.mu.Lock()
 		if p.state == promisePending {
 			p.chains = append(p.chains, fn)
 			p.mu.Unlock()
-			return retNode{UnitValue}, false
+			return unitRet, false
 		}
 		v, e, cancelled := p.val, p.exc, p.state == promiseCancelled
 		p.mu.Unlock()
 		fn(rt, v, e, cancelled)
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -380,7 +373,7 @@ func ChainPromise(p *Promise, fn func(rt *RT, v any, e exc.Exception, cancelled 
 // virtual clock cannot advance past it and the deadlock detector knows
 // a completion is still possible.
 func LaunchPromise(name string, start func(complete func(v any, e exc.Exception)) (cancel func()), dropped func(v any, e exc.Exception)) Node {
-	return primNode{name: name, step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		return retNode{rt.launchPromise(name, start, dropped)}, false
 	}}
 }
@@ -395,7 +388,7 @@ func LaunchPromise(name string, start func(complete func(v any, e exc.Exception)
 // dropped. The wait is interruptible exactly when an MVar take would
 // be: under Unmasked and Block, not under BlockUninterruptible.
 func LaunchAwait(name string, start func(complete func(v any, e exc.Exception)) (cancel func()), dropped func(v any, e exc.Exception)) Node {
-	return primNode{name: name, step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		if n, interrupted := t.raisePendingForPark(); interrupted {
 			return n, false
 		}
@@ -414,7 +407,7 @@ func (rt *RT) launchPromise(name string, start func(complete func(v any, e exc.E
 		once.Do(func() {
 			rt.External(func(rt *RT) {
 				rt.eng.outstandingIO.Add(-1)
-				if !rt.settlePromise(p, v, ex, false) && dropped != nil {
+				if !rt.SettlePromise(p, v, ex, false) && dropped != nil {
 					dropped(v, ex)
 				}
 			})

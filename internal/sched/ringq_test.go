@@ -130,9 +130,9 @@ func TestRingQFairShuffle(t *testing.T) {
 		main := Bind(NewMVar(0), func(a any) Node {
 			mv := a.(*MVar)
 			body := func(i int) Node {
-				return primNode{name: "mark", step: func(rt *RT, t *Thread) (Node, bool) {
+				return primNode{func(rt *RT, t *Thread) (Node, bool) {
 					order = append(order, i)
-					return retNode{UnitValue}, false
+					return unitRet, false
 				}}
 			}
 			var spawnAll func(i int) Node

@@ -304,16 +304,21 @@ func (rt *RT) newThread(m Node, name string, mask MaskState) *Thread {
 	return &Thread{id: id, name: name, rt: rt, cur: m, mask: mask, status: statusRunnable, stack: rt.getStack()}
 }
 
-// publish makes a constructed thread visible and runnable. The spawn
-// event is recorded first: once enqueued the thread can be stolen and
-// run, and obsSpawn reads its mask.
+// publish makes a constructed thread visible and runnable on its shard
+// t.rt: enqueued here, or sent there as a msgAdopt. The spawn event is
+// recorded first: once enqueued the thread can be stolen and run, and
+// obsSpawn reads its mask.
 func (rt *RT) publish(t *Thread, parent ThreadID) {
-	t.owner.Store(rt)
+	t.owner.Store(t.rt)
 	rt.eng.table.put(t)
 	rt.eng.live.Add(1)
 	rt.stats.Forks++
 	rt.obsSpawn(t, parent)
-	rt.enqueue(t)
+	if t.rt == rt {
+		rt.enqueue(t)
+	} else {
+		rt.eng.send(t.rt, shardMsg{kind: msgAdopt, t: t})
+	}
 }
 
 // spawnOn is spawn with explicit shard placement: the child is created
@@ -321,20 +326,10 @@ func (rt *RT) publish(t *Thread, parent ThreadID) {
 // mailbox message, so it never touches the spawner's run queue and
 // cannot run (or be stolen) before its owner enqueues it.
 func (rt *RT) spawnOn(shard int, m Node, name string, mask MaskState, parent ThreadID) *Thread {
-	e := rt.eng
-	n := len(e.shards)
-	to := e.shards[((shard%n)+n)%n]
-	t := &Thread{id: ThreadID(e.nextTID.Add(1)), name: name, rt: to, cur: m, mask: mask, status: statusRunnable, stack: rt.getStack(), pinned: true}
-	t.owner.Store(to)
-	e.table.put(t)
-	e.live.Add(1)
-	rt.stats.Forks++
-	rt.obsSpawn(t, parent)
-	if to == rt {
-		rt.enqueue(t)
-	} else {
-		e.send(to, shardMsg{kind: msgAdopt, t: t})
-	}
+	n := len(rt.eng.shards)
+	t := rt.newThread(m, name, mask)
+	t.rt, t.pinned = rt.eng.shards[((shard%n)+n)%n], true
+	rt.publish(t, parent)
 	return t
 }
 
@@ -437,7 +432,7 @@ func (rt *RT) step(t *Thread) {
 	// Rule (Receive): an exception in flight is raised when the thread
 	// is at a step boundary in an unmasked context AND the current
 	// node is redex-like (a primitive, return, or throw). Structural
-	// descent steps (>>=, catch, block, unblock, delay) are NOT
+	// descent steps (>>=, >>, catch, block, unblock, delay) are NOT
 	// delivery points: in the paper's semantics those constructors are
 	// part of the static evaluation context, so a handler or mask that
 	// is syntactically in place protects the redex from the moment the
@@ -462,7 +457,7 @@ func (rt *RT) step(t *Thread) {
 			}
 		}
 
-		if t.mask == Unmasked || rt.simDeliverMasked(t) {
+		if t.mask == Unmasked || rt.simSeam(IpDeliverMasked, t) {
 			switch t.cur.(type) {
 			case primNode, retNode, throwNode:
 				if p, ok := rt.takePending(t); ok {
@@ -491,9 +486,11 @@ func (rt *RT) step(t *Thread) {
 		}
 		switch f := t.pop().(type) {
 		case *bindFrame:
-			k := f.k
+			t.cur = f.n
+			if f.k != nil {
+				t.cur = f.k.Apply(n.v) // rule (Bind)
+			}
 			rt.putBindFrame(f)
-			t.cur = k(n.v) // rule (Bind)
 		case *maskFrame:
 			t.mask = f.restore // rules (Block Return)/(Unblock Return)
 		case *catchFrame:
@@ -523,13 +520,17 @@ func (rt *RT) step(t *Thread) {
 			t.mask = f.saved
 			h := f.h
 			rt.putCatchFrame(f)
-			t.cur = h(n.e)
+			t.cur = h.Handle(n.e)
 			rt.stats.Handled++
 			rt.obsCatch(t, n.e)
 		}
 
 	case bindNode:
-		t.push(rt.newBindFrame(n.k))
+		t.push(rt.newBindFrame(n.k, nil))
+		t.cur = n.m
+
+	case thenNode:
+		t.push(rt.newBindFrame(nil, n.n))
 		t.cur = n.m
 
 	case catchNode:
@@ -549,6 +550,9 @@ func (rt *RT) step(t *Thread) {
 		if !parked {
 			t.cur = next
 		}
+
+	case interface{ force() Node }: // DelayOf; last, as the one non-concrete case
+		t.cur = n.force()
 
 	default:
 		panic(fmt.Sprintf("sched: unknown node %T", t.cur))
@@ -576,7 +580,7 @@ func (rt *RT) finish(t *Thread, v any, e exc.Exception) {
 		// is the expected end of its life, exactly as when Async's old
 		// catch-wrapper swallowed it.
 		t.settle = nil
-		rt.settlePromise(p, v, e, false)
+		rt.SettlePromise(p, v, e, false)
 		e = nil
 	}
 	if e != nil {
@@ -616,14 +620,14 @@ func outcome(v any, e exc.Exception) Node {
 	if e != nil {
 		return throwNode{e}
 	}
-	return retNode{v}
+	return Return(v)
 }
 
 // unpark makes a parked thread runnable again, resuming with return v
 // or raising e. Used by committed handoffs, promise settlements,
 // timers and §9 thrower release.
 func (rt *RT) unpark(t *Thread, v any, e exc.Exception) {
-	if rt.opts.Sim != nil && rt.simDropUnpark(t) {
+	if rt.opts.Sim != nil && rt.simSeam(IpDropUnpark, t) {
 		// Mutation seam (IpDropUnpark): lose the wakeup; the thread
 		// stays parked forever. Seeded bug for the mutation suite.
 		return
@@ -700,7 +704,7 @@ func (rt *RT) interruptStuck(t *Thread, p pendingExc) bool {
 // if this call resolves its receipt, which releases the thrower. False
 // means the thrower was interrupted first and withdrew the exception.
 func (rt *RT) claim(p pendingExc) bool {
-	return p.receipt == nil || rt.settlePromise(p.receipt, UnitValue, nil, false)
+	return p.receipt == nil || rt.SettlePromise(p.receipt, UnitValue, nil, false)
 }
 
 // takePending dequeues the exception to raise in t at a delivery
@@ -744,7 +748,7 @@ func (rt *RT) deliverLocal(t *Thread, p pendingExc) bool {
 		rt.drop(p)
 		return true
 	}
-	if p.lethal() && t.status == statusParked && t.mask.Interruptible() && !rt.simNoInterrupt(t) {
+	if p.lethal() && t.status == statusParked && t.mask.Interruptible() && !rt.simSeam(IpNoInterrupt, t) {
 		// Claim before detaching: a withdrawn exception must not wake
 		// the target. If a committed wakeup then wins the detach, the
 		// thrower has returned and the entry, its receipt shed, waits
@@ -787,11 +791,11 @@ func (rt *RT) throwTo(from *Thread, tid ThreadID, e exc.Exception) (Node, bool) 
 		// continues immediately. A self-throw waits in the pending
 		// queue for rule (Receive) at the next unmasked boundary.
 		rt.post(from.id, uint8(from.mask), tid, e)
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}
 	target, p := rt.admit(from.id, uint8(from.mask), tid, e, obs.FlagSync)
 	if target == nil {
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}
 	if target == from {
 		// §9 notes a self-throw needs a special case: deliver

@@ -63,9 +63,9 @@ func (s *signalEntry) String() string          { return "signal " + s.sig.Name }
 // is never unwound: its handler for sig.Name runs at the target's
 // next unmasked redex boundary.
 func SignalTo(tid ThreadID, sig Signal) Node {
-	return primNode{name: "signalTo", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		rt.post(t.id, uint8(t.mask), tid, &signalEntry{sig: sig, from: t.id})
-		return retNode{UnitValue}, false
+		return unitRet, false
 	}}
 }
 
@@ -87,7 +87,7 @@ func (rt *RT) deliverSignal(t *Thread) {
 			i = j
 		}
 	}
-	if i < 0 || lethal && !rt.simSignalFirst(t) {
+	if i < 0 || lethal && !rt.simSeam(IpSignalFirst, t) {
 		return
 	}
 	p := t.dequeuePendingAt(i)
@@ -102,8 +102,7 @@ func (rt *RT) deliverSignal(t *Thread) {
 	}
 	rt.stats.SignalsDelivered++
 	rt.obsSignalDeliver(t, p)
-	saved := t.cur
-	t.cur = bindNode{maskNode{h(s.sig), Masked}, func(any) Node { return saved }}
+	t.cur = thenNode{maskNode{h(s.sig), Masked}, t.cur}
 }
 
 // InstallSignalHandler registers h as this thread's handler for name,
@@ -112,7 +111,7 @@ func (rt *RT) deliverSignal(t *Thread) {
 // registration. Handlers are per-thread state and are not inherited
 // by forked children.
 func InstallSignalHandler(name string, h func(Signal) Node) Node {
-	return primNode{name: "installSignalHandler", step: func(rt *RT, t *Thread) (Node, bool) {
+	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		prev := t.sigHandlers[name]
 		if h == nil {
 			delete(t.sigHandlers, name)

@@ -238,24 +238,10 @@ func (rt *RT) bindSimCaps() {
 	}
 }
 
-// simDeliverMasked consults the IpDeliverMasked mutation seam.
-func (rt *RT) simDeliverMasked(t *Thread) bool {
-	return rt.simPerturb && rt.opts.Sim.Interpose(IpDeliverMasked, t) == 1
-}
-
-// simSignalFirst consults the IpSignalFirst mutation seam.
-func (rt *RT) simSignalFirst(t *Thread) bool {
-	return rt.simPerturb && rt.opts.Sim.Interpose(IpSignalFirst, t) == 1
-}
-
-// simNoInterrupt consults the IpNoInterrupt mutation seam.
-func (rt *RT) simNoInterrupt(t *Thread) bool {
-	return rt.simPerturb && rt.opts.Sim.Interpose(IpNoInterrupt, t) == 1
-}
-
-// simDropUnpark consults the IpDropUnpark mutation seam.
-func (rt *RT) simDropUnpark(t *Thread) bool {
-	return rt.simPerturb && rt.opts.Sim.Interpose(IpDropUnpark, t) == 1
+// simSeam consults the boolean mutation seam ip (IpDeliverMasked,
+// IpSignalFirst, IpNoInterrupt, IpDropUnpark) for t.
+func (rt *RT) simSeam(ip InterposePoint, t *Thread) bool {
+	return rt.simPerturb && rt.opts.Sim.Interpose(ip, t) == 1
 }
 
 // simPendingIndex returns the index of the pending exception to raise
