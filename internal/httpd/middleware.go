@@ -1,7 +1,7 @@
 package httpd
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"asyncexc/internal/core"
@@ -33,19 +33,24 @@ func Logged(logf func(string)) Middleware {
 			return core.Bind(core.Lift(time.Now), func(start time.Time) core.IO[Response] {
 				work := core.Bind(next(r), func(resp Response) core.IO[Response] {
 					return core.Then(core.Lift(func() core.Unit {
-						logf(fmt.Sprintf("%s %s -> %d (%v)",
-							r.Method, r.Path, resp.Status, time.Since(start).Round(time.Millisecond)))
+						logf(logLine(r, strconv.Itoa(resp.Status), time.Since(start)))
 						return core.UnitValue
 					}), core.Return(resp))
 				})
 				return core.OnException(work, core.Lift(func() core.Unit {
-					logf(fmt.Sprintf("%s %s -> interrupted (%v)",
-						r.Method, r.Path, time.Since(start).Round(time.Millisecond)))
+					logf(logLine(r, "interrupted", time.Since(start)))
 					return core.UnitValue
 				}))
 			})
 		}
 	}
+}
+
+// logLine is Logged's "METHOD PATH -> outcome (took)", took rounded to
+// the millisecond, concatenated rather than formatted with fmt, which
+// boxes each argument.
+func logLine(r Request, outcome string, took time.Duration) string {
+	return r.Method + " " + r.Path + " -> " + outcome + " (" + took.Round(time.Millisecond).String() + ")"
 }
 
 // WithHeader adds a fixed response header to every reply.

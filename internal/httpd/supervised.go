@@ -3,6 +3,7 @@ package httpd
 import (
 	"fmt"
 	"net"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -125,7 +126,7 @@ func (s *Server) acceptSupervised(connQ conc.Chan[*iomgr.Conn], conns *supervise
 						return core.UnitValue
 					}))
 				child := supervise.ChildSpec{
-					ID: fmt.Sprintf("conn-%d", seq.Add(1)),
+					ID: "conn-" + strconv.FormatInt(seq.Add(1), 10),
 					Start: func() core.IO[core.Unit] {
 						return core.Finally(s.serveConnSupervised(c), release)
 					},

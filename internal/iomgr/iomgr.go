@@ -150,16 +150,16 @@ func (l *Listener) Close() core.IO[core.Unit] {
 }
 
 // Conn wraps a net.Conn with a buffered reader for line-oriented
-// protocols.
+// protocols. It takes one reader and one writer at a time.
 type Conn struct {
-	C   net.Conn
-	R   *bufio.Reader
-	rc  syscall.RawConn // nil: no file descriptor, so nothing is tried
-	now bool            // R's next read of C is one nonblocking read
+	C      net.Conn
+	R      *bufio.Reader
+	rd, wr rawIO // the socket's nonblocking read and write
+	now    bool  // R's next read of C is one nonblocking read
 }
 
 // source is the Conn as R's reader: it reads C, or with now set makes
-// one nonblocking read of the socket (tryRaw) that fails, not waits.
+// one nonblocking read of the socket (rd) that fails, not waits.
 type source Conn
 
 var errNotNow = errors.New("iomgr: would wait")
@@ -168,7 +168,7 @@ func (s *source) Read(p []byte) (int, error) {
 	if !s.now {
 		return s.C.Read(p)
 	}
-	if n, ok := tryRaw(s.rc, p, false); ok {
+	if n, ok := s.rd.try(p); ok {
 		return n, nil
 	}
 	return 0, errNotNow
@@ -178,7 +178,10 @@ func (s *source) Read(p []byte) (int, error) {
 func NewConn(c net.Conn) *Conn {
 	cn := &Conn{C: c}
 	if sc, ok := c.(syscall.Conn); ok {
-		cn.rc, _ = sc.SyscallConn()
+		if rc, err := sc.SyscallConn(); err == nil {
+			cn.rd.bind(rc, false)
+			cn.wr.bind(rc, true)
+		}
 	}
 	cn.R = bufio.NewReader((*source)(cn))
 	return cn
@@ -261,7 +264,7 @@ func (c *Conn) Read(n int) core.IO[[]byte] {
 func (c *Conn) Write(data []byte) core.IO[int] {
 	return tryDoor(c, "write", func(now bool, sent int) (int, bool, error) {
 		if now {
-			n, _ := tryRaw(c.rc, data, true)
+			n, _ := c.wr.try(data)
 			return n, n == len(data), nil
 		}
 		n, err := c.C.Write(data[sent:])

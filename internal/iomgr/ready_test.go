@@ -190,3 +190,30 @@ func TestPipeConnTakesTheDoor(t *testing.T) {
 		t.Fatalf("peer read %q", s)
 	}
 }
+
+// A ready round — a write that one nonblocking write finishes, then a
+// ReadLine that one nonblocking read completes — allocates only what
+// the scheduler and the line itself need: the socket's raw callbacks
+// are bound once per Conn, not per try. That is 6 a round, where
+// binding them per try made 12.
+func TestReadyRoundAllocs(t *testing.T) {
+	const rounds = 1000
+	srv, cli := tcpPair(t)
+	w, r := iomgr.NewConn(srv), iomgr.NewConn(cli)
+	ping := []byte("ping\n")
+	round := core.Bind(core.Then(core.Void(w.Write(ping)), r.ReadLine()), func(line string) core.IO[core.Unit] {
+		if line != "ping" {
+			t.Errorf("read %q", line)
+		}
+		return core.Return(core.UnitValue)
+	})
+	perRound := testing.AllocsPerRun(3, func() {
+		if _, e, err := core.RunWith(realOpts(), core.ReplicateM_(rounds, round)); err != nil || e != nil {
+			t.Fatalf("run: %v %v", err, e)
+		}
+	}) / rounds
+	t.Logf("%.2f allocations a ready write and ReadLine", perRound)
+	if perRound > 7 {
+		t.Fatalf("%.2f allocations a ready write and ReadLine, ceiling 7", perRound)
+	}
+}

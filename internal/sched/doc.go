@@ -61,7 +61,11 @@
 // hot loop checks its per-iteration obligations (stop, mail, timers)
 // with single atomic
 // loads and batches clock resync and stats publication, so an idle
-// obligation costs one predictable load per scheduler iteration.
+// obligation costs one predictable load per scheduler iteration. A
+// busy worker yields its P (runtime.Gosched) every yieldEvery, 250 µs,
+// so Go's GC mark worker and I/O completions need not wait for Go's
+// ~10 ms preemption, when there are as many shards as Ps: with fewer a
+// P is free for them, and with more the yield only rotates workers.
 // Stats/ShardStats expose the counters; Stats.MailboxDepth is the
 // backlog high water, sampled on the consumer side each time a mailbox
 // drain begins. Under Options.Sim a single-goroutine driver steps the

@@ -52,7 +52,7 @@ func TestEntryLedger(t *testing.T) {
 			p := v.(*Promise)
 			return Then(settle, Delay(func() Node {
 				// The parked producer stays put; cancel from the other shard.
-				other := (rt.eng.lookup(p.producer).owner.Load().shardID + 1) % shards
+				other := (rt.eng.table.get(p.producer).owner.Load().shardID + 1) % shards
 				return ForkOn(other, CancelPromise(p), "canceller")
 			}))
 		})

@@ -253,7 +253,7 @@ func (rt *RT) nowNS() int64 { return rt.eng.now.Load() }
 
 // Thread returns the thread with the given id, or nil if it has
 // finished (finished threads are garbage collected, rule Proc GC).
-func (rt *RT) Thread(id ThreadID) *Thread { return rt.eng.lookup(id) }
+func (rt *RT) Thread(id ThreadID) *Thread { return rt.eng.table.get(id) }
 
 // MainThread returns the main thread (valid during and after RunMain).
 func (rt *RT) MainThread() *Thread { return rt.eng.mainThread }
@@ -390,7 +390,7 @@ func (rt *RT) runSlice(t *Thread) {
 	max := e.opts.MaxSteps
 	if max > 0 {
 		if rt.fuelSeen >= max {
-			e.fail(ErrFuelExhausted)
+			e.finish(Result{}, ErrFuelExhausted)
 			return
 		}
 		if left := max - rt.fuelSeen; uint64(t.sliceLeft) > left {
@@ -598,7 +598,7 @@ func (rt *RT) finish(t *Thread, v any, e exc.Exception) {
 	rt.eng.table.del(t.id)
 	rt.eng.live.Add(-1)
 	if t == rt.eng.mainThread {
-		rt.eng.finishMain(Result{Value: v, Exc: e})
+		rt.eng.finish(Result{Value: v, Exc: e}, nil)
 	}
 }
 
@@ -846,7 +846,7 @@ func (rt *RT) admit(from ThreadID, mask uint8, tid ThreadID, e exc.Exception, fl
 	if tid == from {
 		flags |= obs.FlagSelf
 	}
-	target := rt.eng.lookup(tid)
+	target := rt.eng.table.get(tid)
 	if target == nil {
 		flags |= obs.FlagTargetDead
 	} else if p.lethal() && target.owner.Load() != rt {

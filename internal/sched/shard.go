@@ -83,11 +83,11 @@ type shardMsg struct {
 }
 
 // threadTable is the striped id → thread map shared by all shards.
-type threadTable struct {
-	buckets [16]struct {
-		mu sync.Mutex
-		m  map[ThreadID]*Thread
-	}
+type threadTable struct{ buckets [16]tableBucket }
+
+type tableBucket struct {
+	mu sync.Mutex
+	m  map[ThreadID]*Thread
 }
 
 func (tb *threadTable) init() {
@@ -96,10 +96,7 @@ func (tb *threadTable) init() {
 	}
 }
 
-func (tb *threadTable) bucket(id ThreadID) *struct {
-	mu sync.Mutex
-	m  map[ThreadID]*Thread
-} {
+func (tb *threadTable) bucket(id ThreadID) *tableBucket {
 	return &tb.buckets[uint64(id)%uint64(len(tb.buckets))]
 }
 
@@ -125,27 +122,19 @@ func (tb *threadTable) get(id ThreadID) *Thread {
 	return t
 }
 
-// each calls f on every live thread, in no particular order.
-func (tb *threadTable) each(f func(*Thread)) {
+// parkedSnapshot lists parked threads. Only meaningful under global
+// quiescence (deadlock detection), when no shard is mutating statuses.
+func (tb *threadTable) parkedSnapshot() (out []*Thread) {
 	for i := range tb.buckets {
 		b := &tb.buckets[i]
 		b.mu.Lock()
 		for _, t := range b.m {
-			f(t)
+			if t.status == statusParked {
+				out = append(out, t)
+			}
 		}
 		b.mu.Unlock()
 	}
-}
-
-// parkedSnapshot lists parked threads. Only meaningful under global
-// quiescence (deadlock detection), when no shard is mutating statuses.
-func (tb *threadTable) parkedSnapshot() []*Thread {
-	var out []*Thread
-	tb.each(func(t *Thread) {
-		if t.status == statusParked {
-			out = append(out, t)
-		}
-	})
 	return out
 }
 
@@ -153,9 +142,7 @@ func (tb *threadTable) clear() {
 	for i := range tb.buckets {
 		b := &tb.buckets[i]
 		b.mu.Lock()
-		for id := range b.m {
-			delete(b.m, id)
-		}
+		clear(b.m)
 		b.mu.Unlock()
 	}
 }
@@ -201,23 +188,15 @@ type engine struct {
 	realEpoch time.Time
 }
 
-func (e *engine) fail(err error) {
+// finish stops the engine, once: with the main thread's result, or
+// with err when the run failed.
+func (e *engine) finish(res Result, err error) {
 	e.finishOnce.Do(func() {
-		e.runErr = err
+		e.result, e.runErr = res, err
 		e.stopped.Store(true)
 		close(e.done)
 	})
 }
-
-func (e *engine) finishMain(res Result) {
-	e.finishOnce.Do(func() {
-		e.result = res
-		e.stopped.Store(true)
-		close(e.done)
-	})
-}
-
-func (e *engine) lookup(id ThreadID) *Thread { return e.table.get(id) }
 
 // send enqueues m in to's mailbox and wakes it if it is idling. The
 // in-flight counter is raised before the append so the quiescence
@@ -307,17 +286,30 @@ func (rt *RT) buildEngine() {
 	}
 }
 
+// yieldEvery is how long a busy worker keeps its P: it reaches a Go
+// scheduling point only when it idles, so while busy workers hold every
+// P, GC marking and I/O completions wait for Go's ~10 ms preemption.
+const yieldEvery = 250 * time.Microsecond
+
 // workerLoop is one shard's scheduler loop: take turns while there is
-// work, idle when there is none, until the engine stops.
+// work, idle when there is none, until the engine stops. Every 64th
+// busy turn yields the P once yieldEvery has passed (not in turn: the
+// simulation driver steps turn, without the clock), when the shards
+// fill the Ps: with fewer, a P is free; with more, it goes to a worker.
 func (rt *RT) workerLoop() {
 	e := rt.eng
+	yield, next := len(e.shards) == runtime.GOMAXPROCS(0), time.Duration(0)
 	for !e.stopped.Load() {
 		if rt.turn() {
+			if yield && rt.iter&63 == 0 && time.Since(e.realEpoch) >= next {
+				runtime.Gosched()
+				next = time.Since(e.realEpoch) + yieldEvery
+			}
 			continue
 		}
 		rt.publishStats()
 		if err := rt.idleShard(); err != nil {
-			e.fail(err)
+			e.finish(Result{}, err)
 		}
 	}
 	rt.publishStats()

@@ -320,7 +320,7 @@ func (rt *RT) runSimulated() {
 		if mask == 0 {
 			// Global quiescence, the driver's idleShard.
 			if acted, err := rt.quiesceLocked(); err != nil {
-				e.fail(err)
+				e.finish(Result{}, err)
 			} else if !acted {
 				e.simAwaitOutside()
 			}
