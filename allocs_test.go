@@ -3,6 +3,7 @@ package asyncexc_test
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"asyncexc/internal/core"
 	"asyncexc/internal/sched"
@@ -68,7 +69,7 @@ func TestMVarPingPongAllocCeiling(t *testing.T) {
 // allocates nothing, so per-step allocations measure the scheduler
 // loop — the atomic stop-flag check, lock-free mailbox probe, batched
 // clock/stats machinery — which must stay allocation-free: the fixed
-// setup cost (engine, shards, rings) amortized over the run is all
+// setup cost (engine, shards) amortized over the run is all
 // the budget there is.
 func TestHotLoopStepAllocCeiling(t *testing.T) {
 	const steps = 40000
@@ -96,5 +97,30 @@ func TestHotLoopStepAllocCeiling(t *testing.T) {
 	perStep := avg / (float64(total) / 4) // AllocsPerRun runs f 3+1 times
 	if perStep > 0.05 {
 		t.Fatalf("parallel hot loop allocates %.4f/step, ceiling 0.05", perStep)
+	}
+}
+
+// TestNewRTBytes bounds what an engine costs before it runs anything:
+// NewRT plus RunMain(Return(())) at one and four shards. NewRT sizes
+// no per-shard storage up front — mailboxes, run queues and timer
+// heaps grow on first use — so short-lived runtimes (one per test, per
+// request in the examples) stay cheap.
+func TestNewRTBytes(t *testing.T) {
+	for _, tc := range []struct {
+		shards  int
+		ceiling int64
+	}{{1, 16 << 10}, {4, 40 << 10}} {
+		r := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rt := sched.NewRT(sched.Options{Shards: tc.shards})
+				if _, err := rt.RunMain(sched.Return(sched.UnitValue)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if got := r.AllocedBytesPerOp(); got > tc.ceiling {
+			t.Errorf("shards=%d: NewRT+RunMain allocates %d B/op, ceiling %d", tc.shards, got, tc.ceiling)
+		}
+		t.Logf("shards=%d: %d B/op, %d allocs/op, %v", tc.shards, r.AllocedBytesPerOp(), r.AllocsPerOp(), time.Duration(r.NsPerOp()))
 	}
 }

@@ -55,11 +55,11 @@
 // waiter.
 //
 // There is one way in from the outside world: External sends its
-// callback to shard 0 as a mailbox message. Each mailbox is a bounded
-// lock-free MPSC ring (mpsc.go) with a mutex-guarded overflow slow path
-// whose fence keeps per-sender FIFO across the transition; the worker's
-// hot loop checks its per-iteration obligations (stop, mail, timers)
-// with single atomic
+// callback to shard 0 as a mailbox message. Each mailbox is one
+// unbounded list under its own lock, so per-sender FIFO is the list's
+// order; the worker drains it by swapping the whole list out. The
+// worker's hot loop checks its per-iteration obligations (stop, mail,
+// timers) with single atomic
 // loads and batches clock resync and stats publication, so an idle
 // obligation costs one predictable load per scheduler iteration. A
 // busy worker yields its P (runtime.Gosched) every yieldEvery, 250 µs,

@@ -567,10 +567,10 @@ func note(kind obs.Kind, label string, arg, span uint64, bump func(*Stats, uint6
 }
 
 // MailboxDepths returns the instantaneous mailbox backlog of every
-// shard — queued-but-unapplied cross-shard messages, ring and overflow
-// combined — as a live load signal (unlike Stats.MailboxDepth, a
-// high-water mark) that admission control can use as a load-shedding
-// watermark. The read is one atomic load per shard (the mailN pending
+// shard — queued-but-unapplied cross-shard messages — as a live load
+// signal (unlike Stats.MailboxDepth, a high-water mark) that admission
+// control can use as a load-shedding watermark: the mailbox itself has
+// no bound. The read is one atomic load per shard (the mailN pending
 // counter), taking no locks.
 func MailboxDepths() Node {
 	return primNode{func(rt *RT, t *Thread) (Node, bool) {

@@ -244,19 +244,23 @@ func TestParallelVirtualTimers(t *testing.T) {
 }
 
 // TestParallelExternalInterrupt converts an environment signal into an
-// asynchronous exception while the runtime runs on 4 shards.
+// asynchronous exception while the runtime runs on 4 shards. The main
+// thread waits until the signal is queued before it sleeps: a queued
+// message holds the virtual clock, so the hour cannot pass first.
 func TestParallelExternalInterrupt(t *testing.T) {
 	rt := NewRT(parOpts(4))
-	fired := make(chan struct{})
+	fired, sent := make(chan struct{}), make(chan struct{})
 	main := Catch(
 		Bind(primNode{func(rt *RT, t *Thread) (Node, bool) {
 			close(fired)
+			<-sent
 			return unitRet, false
 		}}, func(any) Node { return Sleep(time.Hour) }),
 		func(e exc.Exception) Node { return Return(e) })
 	go func() {
 		<-fired
 		rt.External(func(r *RT) { r.InterruptMain(exc.UserInterrupt{}) })
+		close(sent)
 	}()
 	res, err := rt.RunMain(main)
 	if err != nil {

@@ -165,8 +165,8 @@ func TestReceiptClaimRacesWithdrawal(t *testing.T) {
 	t.Logf("%d rounds: %d claimed, %d withdrawn", rounds, claims, detaches)
 }
 
-// TestMailboxSlotSize pins the size of the mailbox entry every ring
-// slot copies by value, and of the pending-queue entry it carries.
+// TestMailboxSlotSize pins the size of the mailbox entry every send
+// and drain copies by value, and of the pending-queue entry it carries.
 func TestMailboxSlotSize(t *testing.T) {
 	if n := unsafe.Sizeof(shardMsg{}); n > 72 {
 		t.Errorf("shardMsg is %d bytes, want <= 72", n)

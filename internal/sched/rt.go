@@ -74,11 +74,6 @@ type Options struct {
 	// so the whole interleaving is deterministic. Requires the virtual
 	// clock.
 	Sim SimSource
-
-	// mailboxCap overrides the capacity of the per-shard cross-shard
-	// mailbox ring (default 1024). Unexported: only in-package stress
-	// tests set it, to force the ring-full overflow slow path.
-	mailboxCap int
 }
 
 // Result is the outcome of the main thread.
@@ -163,28 +158,21 @@ type RT struct {
 	// charge against Options.MaxSteps (see runSlice).
 	fuelSeen uint64
 
-	// smu guards the run queue, timer heap, overflow mailbox and
-	// statsSnap.
+	// smu guards the run queue, timer heap and statsSnap.
 	eng     *engine
 	shardID int
 	smu     sync.Mutex
-	// mail is the cross-shard mailbox fast path: a bounded lock-free
-	// MPSC ring. mailOverflow is the mutex-guarded slow path, used only
-	// while the ring is full; mailOverflowed flags it non-empty (set
-	// and cleared under smu, read lock-free by producers, who must
-	// follow the overflow path while it is up so per-sender FIFO order
-	// survives the detour). mailFence records the ring ticket at the
-	// moment the flag went up: ring messages below it predate the
-	// overflow epoch and must be applied before the batch (see
-	// processMailbox).
-	mail           *mpscRing
-	mailOverflow   []shardMsg
-	mailSpare      []shardMsg
-	mailOverflowed atomic.Bool
-	mailFence      uint64
+	// mailMu guards mail, the cross-shard mailbox: one unbounded list
+	// that send appends to and processMailbox swaps whole for
+	// mailSpare, the emptied list of its previous drain. Its backlog is
+	// visible as Stats.MailboxDepth (high water) and MailboxDepths
+	// (live).
+	mailMu    sync.Mutex
+	mail      []shardMsg
+	mailSpare []shardMsg
 	// mailN counts queued-but-unapplied mailbox messages — the
 	// "mailbox non-empty" flag the worker loop probes instead of
-	// locking smu. Its high water is sampled consumer-side at each
+	// locking mailMu. Its high water is sampled consumer-side at each
 	// processMailbox entry into Stats.MailboxDepth, keeping maximum
 	// tracking off the producer fast path.
 	mailN atomic.Int64
@@ -262,8 +250,9 @@ func (rt *RT) MainThread() *Thread { return rt.eng.mainThread }
 // It is the only safe way for other goroutines (I/O manager
 // completions, signal handlers, test drivers) to touch runtime state.
 // f travels as a msgExternal through shard 0's mailbox, so it never
-// blocks the caller or the scheduler: a flood fills the ring and then
-// the overflow list, like any other cross-shard traffic.
+// blocks the caller or the scheduler: the mailbox has no bound, and a
+// flood grows it like any other cross-shard traffic (Stats.MailboxDepth
+// and MailboxDepths show the backlog).
 func (rt *RT) External(f func(*RT)) {
 	rt.ExternalLabeled(0, f)
 }

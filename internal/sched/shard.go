@@ -162,8 +162,17 @@ type engine struct {
 	outstandingIO atomic.Int64
 	live          atomic.Int64 // live (unfinished) threads
 	now           atomic.Int64 // runtime clock, ns
-	steps         atomic.Uint64
 	wakeRR        atomic.Uint32
+
+	// steps is the step count charged against Options.MaxSteps; every
+	// shard adds to it after every slice. It has 128 bytes to itself (a
+	// cache line and the neighbour the prefetcher fetches with it): on
+	// a line with stopped, which every worker loads every turn, the
+	// one-step-slice hot loop at 4 and 8 shards lost about a quarter of
+	// its rate to field offsets alone (EXPERIMENTS.md M1).
+	_     [128]byte
+	steps atomic.Uint64
+	_     [120]byte
 
 	// idleMu serializes quiesce actors (virtual-clock advance and
 	// deadlock detection); the idle entry/exit bookkeeping itself is
@@ -199,28 +208,15 @@ func (e *engine) finish(res Result, err error) {
 }
 
 // send enqueues m in to's mailbox and wakes it if it is idling. The
-// in-flight counter is raised before the append so the quiescence
+// in-flight counters are raised before the append so the quiescence
 // check can never observe a moment where the message is neither
-// counted nor delivered. The fast path is a lock-free ring push; the
-// mutex-guarded overflow list is entered only when the ring is full —
-// and once it is non-empty every producer must follow it (checked
-// before the ring), or a later message could overtake an earlier one
-// stuck in the overflow and break per-sender FIFO order.
+// counted nor delivered. Per-sender FIFO is the order of to.mail.
 func (e *engine) send(to *RT, m shardMsg) {
 	e.msgs.Add(1)
 	to.mailN.Add(1)
-	if to.mailOverflowed.Load() || !to.mail.push(&m) {
-		to.smu.Lock()
-		if !to.mailOverflowed.Load() {
-			// First overflow of this epoch: fence off the ring tickets
-			// already issued — they predate every overflow entry and
-			// must be applied first (see processMailbox).
-			to.mailFence = to.mail.enq.Load()
-			to.mailOverflowed.Store(true)
-		}
-		to.mailOverflow = append(to.mailOverflow, m)
-		to.smu.Unlock()
-	}
+	to.mailMu.Lock()
+	to.mail = append(to.mail, m)
+	to.mailMu.Unlock()
 	if to.idling.Load() {
 		to.wake()
 	}
@@ -273,15 +269,10 @@ func (rt *RT) buildEngine() {
 		s.bindSimCaps()
 		e.shards[i] = s
 	}
-	ringCap := e.opts.mailboxCap
-	if ringCap <= 0 {
-		ringCap = 1024
-	}
 	for i, s := range e.shards {
 		s.eng = e
 		s.shardID = i
 		s.wakeCh = make(chan struct{}, 1)
-		s.mail = newMpscRing(ringCap)
 		s.obsAttach(i)
 	}
 }
@@ -370,69 +361,36 @@ func (rt *RT) publishStats() {
 	}
 }
 
-// processMailbox applies queued cross-shard messages: pop the ring
-// until empty, then — only when producers overflowed — take the
-// overflow batch under the shard lock.
-//
-// Ordering: per-sender FIFO must survive the ring/overflow split. Once
-// the overflow flag is up, every producer appends there (send checks
-// the flag before the ring), so within an overflow epoch the only
-// hazard is a ring message pushed around the moment the flag went up.
-// The fence (the ring ticket recorded at flag-raise) resolves it: ring
-// tickets below the fence predate every overflow entry and are applied
-// first; tickets at or above it were pushed by senders who saw the
-// flag down — senders whose earlier messages therefore cannot sit in
-// this epoch's batch — so applying them after the batch is safe.
-// Claimed-but-unwritten ring slots below the fence are spun out (the
-// producer is mid-publish; Gosched hands it the core).
+// processMailbox applies queued cross-shard messages in send order. It
+// swaps the list for its emptied spare under mailMu, applies the batch,
+// and repeats while mailN says more was sent meanwhile, so that mail
+// lands in the same drain. A swap that comes back empty ends the drain
+// too: its sender has raised mailN but not yet appended, and the next
+// turn sees the message.
 func (rt *RT) processMailbox() {
 	e := rt.eng
 	// Sample the backlog high water on the consumer side, keeping the
-	// producer fast path free of read-modify-write maximum tracking.
-	// The sample runs before any pop, so a burst that is fully drained
-	// by one call is still observed at its peak.
+	// producer path free of read-modify-write maximum tracking. The
+	// sample runs before any swap, so a burst that is fully drained by
+	// one call is still observed at its peak.
 	if n := uint64(rt.mailN.Load()); n > rt.stats.MailboxDepth {
 		rt.stats.MailboxDepth = n
 	}
-	var m shardMsg
-	for {
-		st := rt.mail.pop(&m)
-		if st == popOK {
-			rt.mailN.Add(-1)
-			rt.applyMsg(m)
-			e.msgs.Add(-1)
-			m = shardMsg{}
-			continue
-		}
-		if !rt.mailOverflowed.Load() {
-			// popPending: a producer is between its ticket CAS and its
-			// publish store; the next loop pass will see the message.
-			return
-		}
-		rt.smu.Lock()
-		fence := rt.mailFence
-		rt.smu.Unlock()
-		if rt.mail.deq < fence {
-			// Pre-epoch ring messages remain (the head slot is claimed
-			// but not yet written, or newly consumable); wait them out
-			// before touching the strictly-younger overflow batch.
-			runtime.Gosched()
-			continue
-		}
-		rt.smu.Lock()
-		batch := rt.mailOverflow
-		rt.mailOverflow = rt.mailSpare[:0]
-		rt.mailOverflowed.Store(false)
-		rt.smu.Unlock()
+	for rt.mailN.Load() > 0 {
+		rt.mailMu.Lock()
+		batch := rt.mail
+		rt.mail = rt.mailSpare
+		rt.mailMu.Unlock()
 		for i := range batch {
 			rt.mailN.Add(-1)
 			rt.applyMsg(batch[i])
 			e.msgs.Add(-1)
 		}
-		for i := range batch {
-			batch[i] = shardMsg{}
-		}
+		clear(batch) // drop thread/value references
 		rt.mailSpare = batch[:0]
+		if len(batch) == 0 {
+			return
+		}
 	}
 }
 
