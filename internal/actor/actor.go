@@ -152,7 +152,9 @@ type Def[M any] struct {
 	// OnMessage handles one message at a time.
 	OnMessage func(M) core.IO[core.Unit]
 	// OnBatch, when set instead, receives every drained message in
-	// arrival order — the amortized path for hot actors.
+	// arrival order — the amortized path for hot actors. The slice is
+	// the mailbox's own buffer, valid until the actor's next receive:
+	// a handler that keeps messages past its return copies them.
 	OnBatch func([]M) core.IO[core.Unit]
 	// Uninterruptible runs the handler under BlockUninterruptible,
 	// so not even its interruptible waits admit a kill: the handler

@@ -14,11 +14,27 @@ import (
 // receiver — at most one, a mailbox has a single consumer — is parked
 // on the doorbell, with the selective-receive predicate a message must
 // satisfy to ring it (nil accepts anything).
+//
+// spare is the buffer's other backing array. While the receiver holds
+// a drained batch, spare is that batch (so its length is nonzero); the
+// receiver's next receive clears it to an empty spare, which the next
+// drain installs as buf. In steady state two arrays alternate: one
+// takes sends while the handler reads the other.
 type mState[M any] struct {
 	buf    []M
+	spare  []M
 	spans  []uint64
 	parked bool
 	pred   func(M) bool
+}
+
+// recycle takes back the batch the last drain lent out: its slots are
+// zeroed, so no delivered message stays reachable, and it becomes the
+// empty spare. It runs as the single consumer enters its next receive,
+// when that batch is no longer the caller's.
+func (s *mState[M]) recycle() {
+	clear(s.spare)
+	s.spare = s.spare[:0]
 }
 
 // remove deletes buf[i]. slices.Delete zeroes the vacated slot, so the
@@ -42,16 +58,17 @@ func (s *mState[M]) first(pred func(M) bool) (m M, n int, span uint64) {
 }
 
 // drain hands over the whole buffer and the first message's send span.
-// The caller owns the returned slice: the mailbox starts a fresh
-// buffer, so a later send can never write into it. The spans array
-// holds no pointers and is kept for the next batch; its capacity is
-// the mailbox's high-water backlog, 8 bytes a message.
+// The returned slice is lent until the receiver's next receive: the
+// empty spare becomes the buffer, so no send writes into the batch
+// meanwhile, and the batch is kept as the spare that receive recycles.
+// The spans array holds no pointers and is kept for the next batch;
+// its capacity is the mailbox's high-water backlog, 8 bytes a message.
 func (s *mState[M]) drain() (ms []M, n int, span uint64) {
 	if len(s.buf) == 0 {
 		return nil, 0, 0
 	}
 	ms, span = s.buf, s.spans[0]
-	s.buf, s.spans = nil, s.spans[:0]
+	s.buf, s.spare, s.spans = s.spare, ms, s.spans[:0]
 	return ms, len(ms), span
 }
 
@@ -167,7 +184,8 @@ func errConcurrentReceive(name string) core.Exception {
 	return exc.ErrorCall{Msg: "actor: concurrent Receive on single-consumer mailbox " + name}
 }
 
-// receive is the one receive loop. Under the lock, take removes what
+// receive is the one receive loop. Under the lock, the batch a
+// previous ReceiveAll lent out is recycled, then take removes what
 // the caller wants (n messages, the first sent under span). When
 // nothing fits, the receiver marks itself parked with pred and waits
 // on the doorbell — the paper's interruptible takeMVar, even under
@@ -180,6 +198,7 @@ func receive[M, R any](mb *Mailbox[M], pred func(M) bool, take func(*mState[M]) 
 		if s.parked {
 			return core.Throw[core.Pair[mState[M], core.Maybe[core.Pair[R, uint64]]]](errConcurrentReceive(mb.name))
 		}
+		s.recycle()
 		if got, n, span := take(&s); n > 0 {
 			return core.Then(noteDeliver(mb.name, uint64(n), span),
 				core.Return(core.MkPair(s, core.Just(core.MkPair(got, span)))))
@@ -244,8 +263,10 @@ func (mb *Mailbox[M]) receiveOne(pred func(M) bool) core.IO[core.Pair[M, uint64]
 // parking like Receive when the mailbox is empty. This is the
 // amortized receive the actor loop's batch mode uses: the per-message
 // cost of the locked section falls to O(1/batch). The returned slice
-// is the mailbox's own drained buffer, handed over without a copy; the
-// caller owns it.
+// is the mailbox's own drained buffer, handed over without a copy and
+// valid until the receiver's next receive, which zeroes it and reuses
+// it as the buffer later sends fill. A caller that keeps messages
+// longer copies them out first.
 func (mb *Mailbox[M]) ReceiveAll() core.IO[[]M] {
 	return core.Map(mb.receiveAll(), fst[[]M, uint64])
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"asyncexc/internal/core"
 )
@@ -54,33 +55,106 @@ func TestDeliveredMessageNotRetained(t *testing.T) {
 	}
 }
 
-// TestReceiveAllSliceIsCallers checks that ReceiveAll hands over a
-// slice the mailbox never touches again: overwriting it, even beyond
-// its length, changes nothing a later receive sees.
-func TestReceiveAllSliceIsCallers(t *testing.T) {
-	type result struct{ first, second, third []int }
-	got := runOK(t, core.Bind(NewMailbox[int]("own"), func(mb *Mailbox[int]) core.IO[result] {
-		return core.Then(mb.SendAll([]int{1, 2, 3}), core.Bind(mb.ReceiveAll(), func(first []int) core.IO[result] {
-			keep := slices.Clone(first)
-			scribble := func() {
-				full := first[:cap(first)]
-				for i := range full {
-					full[i] = -1
-				}
-			}
-			scribble()
-			return core.Then(core.Then(mb.Send(4), mb.SendAll([]int{5, 6})),
-				core.Bind(core.Lift(func() core.Unit { scribble(); return core.UnitValue }), func(core.Unit) core.IO[result] {
-					return core.Bind(mb.ReceiveAll(), func(second []int) core.IO[result] {
-						return core.Then(mb.Send(7), core.Bind(mb.Receive(), func(m int) core.IO[result] {
-							return core.Return(result{keep, slices.Clone(second), []int{m}})
-						}))
-					})
-				}))
+// TestReceiveAllBatchLifetime checks the ReceiveAll contract: a batch
+// is the caller's until its next receive. A send made while the batch
+// is held never writes into it, even beyond its length; the next
+// receive zeroes it, so it keeps no delivered message reachable; and
+// from then on SendAll+ReceiveAll rounds alternate between exactly two
+// backing arrays.
+func TestReceiveAllBatchLifetime(t *testing.T) {
+	type T struct{ n int }
+	a, b, c, d := &T{1}, &T{2}, &T{3}, &T{4}
+	const rounds = 6
+	type result struct {
+		first, second  []*T
+		heldIntact     bool
+		afterNext      []*T
+		arrays         []**T
+		roundsReceived int
+	}
+	got := runOK(t, core.Bind(NewMailbox[*T]("lifetime"), func(mb *Mailbox[*T]) core.IO[result] {
+		var r result
+		round := core.Then(mb.SendAll([]*T{a}), core.Bind(mb.ReceiveAll(), func(ms []*T) core.IO[core.Unit] {
+			r.arrays = append(r.arrays, unsafe.SliceData(ms))
+			r.roundsReceived += len(ms)
+			return core.Return(core.UnitValue)
+		}))
+		return core.Then(mb.SendAll([]*T{a, b}), core.Bind(mb.ReceiveAll(), func(first []*T) core.IO[result] {
+			r.first = slices.Clone(first)
+			held := slices.Clone(first[:cap(first)])
+			return core.Then(core.Then(mb.SendAll([]*T{c}), mb.Send(d)), core.Bind(core.Delay(func() core.IO[[]*T] {
+				r.heldIntact = slices.Equal(first[:cap(first)], held)
+				return mb.ReceiveAll()
+			}), func(second []*T) core.IO[result] {
+				r.second = slices.Clone(second)
+				r.afterNext = first[:cap(first)]
+				r.arrays = append(r.arrays, unsafe.SliceData(first), unsafe.SliceData(second))
+				return core.Then(core.ReplicateM_(rounds, round), core.Delay(func() core.IO[result] { return core.Return(r) }))
+			}))
 		}))
 	}))
-	if !slices.Equal(got.first, []int{1, 2, 3}) || !slices.Equal(got.second, []int{4, 5, 6}) || !slices.Equal(got.third, []int{7}) {
-		t.Fatalf("receives read %v %v %v, want [1 2 3] [4 5 6] [7]", got.first, got.second, got.third)
+	if !slices.Equal(got.first, []*T{a, b}) || !slices.Equal(got.second, []*T{c, d}) || got.roundsReceived != rounds {
+		t.Fatalf("receives read %v %v and %d round messages, want [a b] [c d] and %d", got.first, got.second, got.roundsReceived, rounds)
+	}
+	if !got.heldIntact {
+		t.Errorf("a send made while a batch was held wrote into its backing array")
+	}
+	for i, p := range got.afterNext {
+		if p != nil {
+			t.Errorf("after the next receive, slot %d of the old batch still references message %d", i, p.n)
+		}
+	}
+	for i, arr := range got.arrays {
+		if arr != got.arrays[i%2] {
+			t.Fatalf("batch %d sits in a third backing array", i)
+		}
+	}
+	if got.arrays[0] == got.arrays[1] {
+		t.Errorf("consecutive batches share one backing array")
+	}
+}
+
+// TestMailboxRetainsHighWater is the mailbox row of DESIGN.md's
+// Bounds table: after a burst the mailbox keeps two buffers of its
+// high-water backlog, and steady traffic below it runs in them —
+// no new backing array, no growth in capacity.
+func TestMailboxRetainsHighWater(t *testing.T) {
+	const burst, batch, rounds = 4096, 16, 50
+	type shape struct {
+		arrays    [2]*int
+		bufs, spn int
+	}
+	look := func(mb *Mailbox[int]) core.IO[shape] {
+		return core.Map(core.Read(mb.st), func(s mState[int]) shape {
+			return shape{[2]*int{unsafe.SliceData(s.buf), unsafe.SliceData(s.spare)}, cap(s.buf) + cap(s.spare), cap(s.spans)}
+		})
+	}
+	// buf and spare swap arrays every round.
+	same := func(x, y shape) bool {
+		swapped := [2]*int{y.arrays[1], y.arrays[0]}
+		return x.bufs == y.bufs && x.spn == y.spn && (x.arrays == y.arrays || x.arrays == swapped)
+	}
+	var shapes []shape
+	got := runOK(t, core.Bind(NewMailbox[int]("high-water"), func(mb *Mailbox[int]) core.IO[[]shape] {
+		round := func(n int) core.IO[core.Unit] {
+			return core.Seq(mb.SendAll(make([]int, n)), core.Void(mb.ReceiveAll()),
+				core.Bind(look(mb), func(sh shape) core.IO[core.Unit] {
+					shapes = append(shapes, sh)
+					return core.Return(core.UnitValue)
+				}))
+		}
+		return core.Then(core.Seq(round(burst), round(batch), core.ReplicateM_(rounds, round(batch))),
+			core.Delay(func() core.IO[[]shape] { return core.Return(shapes) }))
+	}))
+	steady := got[1]
+	if steady.bufs < burst || steady.spn < burst {
+		t.Fatalf("after the burst the mailbox keeps %d buffer and %d span slots, want at least %d each", steady.bufs, steady.spn, burst)
+	}
+	for i, sh := range got[2:] {
+		if !same(sh, steady) {
+			t.Fatalf("steady round %d: buffers %v (%d slots, %d spans), want %v (%d, %d)",
+				i, sh.arrays, sh.bufs, sh.spn, steady.arrays, steady.bufs, steady.spn)
+		}
 	}
 }
 

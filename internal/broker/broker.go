@@ -16,6 +16,7 @@
 package broker
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -98,10 +99,12 @@ type Topic struct {
 // behavior closure, created once here: a supervisor restart
 // re-incarnates the thread but keeps both the mailbox and the
 // subscriber table, so replaying resumes exactly where the last
-// incarnation stopped.
+// incarnation stopped. The fanout's event join lives there too,
+// reused across batches.
 func NewTopic(sys *actor.System, name string) core.IO[Topic] {
 	subs := map[string]actor.Ref[Event]{} // topic-thread-only; no lock
 	order := []string{}                   // deterministic fanout order
+	var evs []Event                       // the batch's events, joined
 	def := actor.Def[Cmd]{
 		Name:            "topic/" + name,
 		Uninterruptible: true,
@@ -109,12 +112,14 @@ func NewTopic(sys *actor.System, name string) core.IO[Topic] {
 			// Subscription changes apply in arrival order first, then
 			// one fanout per subscriber for the whole batch's events —
 			// a single mailbox critical section per subscriber. The
-			// join is sized up front so it is allocated once.
+			// join is reused across batches: SendAll copies it, and the
+			// uninterruptible fanout finishes before the next batch.
 			n := 0
 			for _, c := range cmds {
 				n += len(c.Events)
 			}
-			evs := make([]Event, 0, n)
+			clear(evs)
+			evs = slices.Grow(evs[:0], n)
 			for _, c := range cmds {
 				if c.SubID != "" {
 					if _, ok := subs[c.SubID]; !ok {
