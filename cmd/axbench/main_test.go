@@ -17,7 +17,7 @@ func TestStepTablesMatchExperiments(t *testing.T) {
 		t.Fatal(err)
 	}
 	build := map[string]experiment{}
-	for _, e := range experiments(defaultSeeds, 0, 0) {
+	for _, e := range experiments(defaultSeeds, 0) {
 		build[e.id] = e
 	}
 	for _, id := range stepTables {

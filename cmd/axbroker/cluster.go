@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"sync/atomic"
 	"time"
 
@@ -49,14 +48,16 @@ func (m *member) spawn(name string, prog core.IO[core.Unit]) {
 	m.sys.RT().External(func(rt *sched.RT) { rt.Spawn(wrapped.Node(), name) })
 }
 
+// maxClusterEvents caps cluster mode's events per topic: the remote
+// path is per-message frames, ~2 orders of magnitude below the batched
+// local path.
+const maxClusterEvents = 1 << 12
+
 // runCluster places topics on node A and subscribers on B and C;
 // every delivery crosses the wire as a message-carrying exception.
-func runCluster(mode string, topics, subsPer, events, batch int) {
-	// The remote path is per-message frames, ~2 orders of magnitude
-	// below the batched local path; size accordingly.
-	if events > 1<<12 {
-		events = 1 << 12
-	}
+// A short delivery at the deadline is an error.
+func runCluster(mode string, topics, subsPer, events, batch int) (result, error) {
+	events = min(events, maxClusterEvents)
 
 	endpoints := map[cluster.NodeID]cluster.Transport{}
 	addrs := map[cluster.NodeID]string{"A": "A", "B": "B", "C": "C"}
@@ -75,19 +76,14 @@ func runCluster(mode string, topics, subsPer, events, batch int) {
 			i++
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "axbroker: unknown cluster mode %q (want mem or tcp)\n", mode)
-		os.Exit(2)
+		return result{}, fmt.Errorf("unknown cluster mode %q (want mem or tcp)", mode)
 	}
-
-	fmt.Printf("axbroker: 3-node %s cluster — topics on A, subscribers on B/C; %d topics x %d subscribers, %d events/topic\n",
-		mode, topics, subsPer, events)
 
 	members := map[cluster.NodeID]*member{}
 	for _, id := range []cluster.NodeID{"A", "B", "C"} {
 		m, err := startMember(id, endpoints[id], addrs[id])
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "axbroker: start %s: %v\n", id, err)
-			os.Exit(1)
+			return result{}, fmt.Errorf("start %s: %v", id, err)
 		}
 		defer m.stop()
 		members[id] = m
@@ -188,15 +184,10 @@ func runCluster(mode string, topics, subsPer, events, batch int) {
 	select {
 	case err := <-errc:
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "axbroker: %v\n", err)
-			os.Exit(1)
+			return result{}, err
 		}
-	case <-time.After(120 * time.Second):
-		fmt.Fprintf(os.Stderr, "axbroker: timed out (delivered %d/%d)\n", delivered.Load(), want)
-		os.Exit(1)
+	case <-time.After(deadline):
+		return result{}, fmt.Errorf("timed out after %v (delivered %d/%d)", deadline, delivered.Load(), want)
 	}
-	elapsed := time.Since(start)
-	rate := float64(delivered.Load()) / elapsed.Seconds()
-	fmt.Printf("  3-node %s: %d remote deliveries in %dms = %.0fk msgs/sec\n",
-		mode, delivered.Load(), elapsed.Milliseconds(), rate/1e3)
+	return result{delivered: delivered.Load(), elapsed: time.Since(start)}, nil
 }

@@ -4,11 +4,12 @@
 // paths (mailbox takeMVar locally, message-as-exception remotely).
 //
 // Local mode sweeps the parallel engine and prints a throughput line
-// per shard count; with -kills > 0 it also shoots the topic actors
-// mid-stream and lets the supervisor restart them, then audits that
-// no subscriber delivery was lost or duplicated — the acceptance
+// per shard count, after auditing that no subscriber delivery was lost
+// or duplicated; with -kills > 0 it also shoots the topic actors
+// mid-stream and lets the supervisor restart them — the acceptance
 // property the chaos soak (internal/chaos.RunActor) checks under 100
-// seeds in CI.
+// seeds in CI. A short delivery, in either mode, exits 1 once the
+// run's 120 s deadline passes.
 //
 // Cluster mode builds a 3-node cluster (in-memory transport or real
 // TCP loopback), places the topics on node A and the subscribers on
@@ -47,7 +48,15 @@ func main() {
 	flag.Parse()
 
 	if *clusterMode != "" {
-		runCluster(*clusterMode, *topics, *subs, *events, *batch)
+		r, err := runCluster(*clusterMode, *topics, *subs, *events, *batch)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "axbroker: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Printf("axbroker: 3-node %s cluster — topics on A, subscribers on B/C; %d topics x %d subscribers, %d events/topic\n",
+			*clusterMode, *topics, *subs, min(*events, maxClusterEvents))
+		fmt.Printf("  3-node %s: %d remote deliveries in %dms = %.0fk msgs/sec\n",
+			*clusterMode, r.delivered, r.elapsed.Milliseconds(), r.rate()/1e3)
 		return
 	}
 
@@ -59,15 +68,36 @@ func main() {
 			fmt.Fprintf(os.Stderr, "axbroker: bad shard count %q\n", s)
 			os.Exit(2)
 		}
-		runLocal(shards, *topics, *subs, *events, *batch, *kills)
+		r, err := runLocal(shards, *topics, *subs, *events, *batch, *kills)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "axbroker: %d-shard: %v\n", shards, err)
+			os.Exit(1)
+		}
+		fmt.Printf("  %d-shard: %d deliveries in %dms = %.2fM msgs/sec  (restarts=%d lost=%d duplicated=%d)\n",
+			shards, r.delivered, r.elapsed.Milliseconds(), r.rate()/1e6, r.restarts, r.lost, r.dup)
 	}
 }
+
+// deadline bounds one run: a delivery that never lands fails the run
+// with its delivered/want count instead of hanging it.
+var deadline = 120 * time.Second
+
+// result is what one run counted.
+type result struct {
+	delivered uint64
+	elapsed   time.Duration
+	restarts  uint64 // local mode: supervisor restarts of killed topics
+	lost, dup int    // local mode: the exactly-once audit
+}
+
+func (r result) rate() float64 { return float64(r.delivered) / r.elapsed.Seconds() }
 
 // runLocal drives one supervised broker on a shards-wide runtime:
 // every topic and every subscriber is a Permanent child of one
 // supervisor — kill a topic and the supervisor restarts it onto the
-// same (surviving) mailbox.
-func runLocal(shards, topics, subsPer, events, batch, kills int) {
+// same (surviving) mailbox. Every run is audited for exactly-once
+// delivery; a loss, a duplicate or a missed deadline is an error.
+func runLocal(shards, topics, subsPer, events, batch, kills int) (result, error) {
 	opts := core.RealTimeOptions()
 	opts.Shards = shards
 	sys := core.NewSystem(opts)
@@ -83,7 +113,6 @@ func runLocal(shards, topics, subsPer, events, batch, kills int) {
 
 	var sup *supervise.Supervisor
 	var start, end time.Time
-	var restarts uint64
 
 	prog := core.Delay(func() core.IO[core.Unit] {
 		spec := supervise.Spec{
@@ -137,7 +166,7 @@ func runLocal(shards, topics, subsPer, events, batch, kills int) {
 				var drain func() core.IO[core.Unit]
 				drain = func() core.IO[core.Unit] {
 					return core.Delay(func() core.IO[core.Unit] {
-						if delivered.Load() >= want {
+						if delivered.Load() >= want || time.Since(start) > deadline {
 							return core.Lift(func() core.Unit { end = time.Now(); return core.UnitValue })
 						}
 						return core.Then(core.Sleep(time.Millisecond), drain())
@@ -149,27 +178,23 @@ func runLocal(shards, topics, subsPer, events, batch, kills int) {
 	})
 
 	if _, e, err := core.RunSystem(sys, prog); e != nil || err != nil {
-		fmt.Fprintf(os.Stderr, "axbroker: %d-shard run failed: exc=%v err=%v\n", shards, e, err)
-		os.Exit(1)
+		return result{}, fmt.Errorf("run failed: exc=%v err=%v", e, err)
 	}
+	r := result{delivered: delivered.Load(), elapsed: end.Sub(start)}
 	if sup != nil {
-		restarts = sup.Metrics.Restarts.Load()
+		r.restarts = sup.Metrics.Restarts.Load()
 	}
-
-	elapsed := end.Sub(start)
-	rate := float64(delivered.Load()) / elapsed.Seconds()
-	line := fmt.Sprintf("  %d-shard: %d deliveries in %dms = %.2fM msgs/sec",
-		shards, delivered.Load(), elapsed.Milliseconds(), rate/1e6)
-	if kills > 0 {
-		lost, dup := audit(counts, events)
-		line += fmt.Sprintf("  (restarts=%d lost=%d duplicated=%d)", restarts, lost, dup)
-		if lost+dup > 0 {
-			fmt.Println(line)
-			fmt.Fprintln(os.Stderr, "axbroker: exactly-once audit FAILED")
-			os.Exit(1)
-		}
+	if r.delivered < want {
+		return r, fmt.Errorf("timed out after %v (delivered %d/%d)", deadline, r.delivered, want)
 	}
-	fmt.Println(line)
+	mu.Lock()
+	r.lost, r.dup = audit(counts, events)
+	mu.Unlock()
+	if r.lost+r.dup > 0 {
+		return r, fmt.Errorf("exactly-once audit FAILED: lost=%d duplicated=%d (delivered %d/%d)",
+			r.lost, r.dup, r.delivered, want)
+	}
+	return r, nil
 }
 
 // publish emits events [1..total] in batches.

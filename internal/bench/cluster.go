@@ -17,7 +17,7 @@ import (
 // on node B. The path under test is the full remote delivery chain:
 // green ThrowTo → frame encode → in-memory wire → dedup → External
 // injection → rule Interrupt at a thread parked in takeMVar → bracket
-// unwind. Both engines are measured; like P1 this is wall-clock and
+// unwind. Both engines are measured; this is wall-clock and
 // machine-dependent, unlike the step-counted tables.
 func RemoteThrowLatency(rounds int) *Table {
 	if rounds <= 0 {

@@ -37,7 +37,7 @@ import (
 // actually raised in their target (Stats.Delivered) per second, and the
 // crossShard column reports how many throwTos crossed shards.
 //
-// Like P1 this table is wall-clock and machine-dependent; the
+// This table is wall-clock and machine-dependent; the
 // calibrate-spin row (a pure Go spin loop on one core) records the
 // machine's speed so the CI gate can compare machine-normalized rates
 // instead of raw ones. The baseline column is the pre-optimization

@@ -9,16 +9,16 @@ import (
 )
 
 // ObsOverhead builds the O1 table: wall-clock cost of event recording
-// (internal/obs) on the P1 workloads, with tracing off versus on. The
-// recording path is an atomic sequence stamp plus an append to an
-// owner-local staging slice, flushed to the shard ring at slice
-// boundaries, so the overhead is expected — and gated in CI — to stay
-// under 5%. The events/dropped columns come from the traced run's
+// (internal/obs) on the MVar ping-pong and fork fan-out workloads, with
+// tracing off versus on. The recording path is an atomic sequence stamp
+// plus an append to an owner-local staging slice, flushed to the shard
+// ring at slice boundaries, so the overhead is expected — and gated in
+// CI — to stay under 5%. The events/dropped columns come from the traced run's
 // recorder: park-heavy workloads (pingpong) emit several events per
 // round, so they also exercise the ring's overwrite-oldest path.
 //
-// Like P1 this table is wall-clock and machine-dependent; each cell is
-// the best of several runs to shave scheduler noise.
+// This table is wall-clock and machine-dependent; each cell is the
+// best of several runs to shave scheduler noise.
 func ObsOverhead(rounds int) *Table {
 	t := &Table{
 		ID:      "O1",
@@ -59,8 +59,9 @@ func (w ObsWorkload) Name() string { return w.name }
 // Prog builds a fresh instance of the workload program.
 func (w ObsWorkload) Prog() core.IO[core.Unit] { return w.prog() }
 
-// ObsWorkloads mirrors P1's workload set: the serial handoff loop, the
-// serial fan-out, and the fan-out on the parallel engine (which routes
+// ObsWorkloads are the in-process workloads of the root package's
+// parallel-speedup benchmark: the serial handoff loop, the serial
+// fan-out, and the fan-out on the parallel engine (which routes
 // recording through the worker-loop flush path instead of RunMain's).
 func ObsWorkloads(rounds int) []ObsWorkload {
 	pingpong := func() core.IO[core.Unit] {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestObsOverheadGate is the CI smoke gate for the <5% tracing-overhead
-// budget: recording must not measurably slow the P1 workloads. One
+// budget: recording must not measurably slow the ObsWorkloads. One
 // wall-clock sample is too noisy to gate on, so each attempt takes the
 // best of several runs per side, and the gate passes as soon as any
 // attempt lands under the threshold — a true regression (recording on

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 )
 
 // Table is a printable experiment result.
@@ -83,4 +84,16 @@ func (t *Table) String() string {
 	var b strings.Builder
 	t.Fprint(&b)
 	return b.String()
+}
+
+// fmtDuration renders a duration with bench-style precision.
+func fmtDuration(d time.Duration) string {
+	switch {
+	case d < time.Millisecond:
+		return fmt.Sprintf("%.1fµs", float64(d)/float64(time.Microsecond))
+	case d < time.Second:
+		return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
+	default:
+		return fmt.Sprintf("%.2fs", d.Seconds())
+	}
 }

@@ -2,8 +2,8 @@
 // internal/actor: topics are actors, subscribers are supervised
 // children, and every delivery travels the same mailbox / remote
 // throwTo paths as any other actor message. The package is shared by
-// cmd/axbroker (the driver binary), the A1 benchmark, and the chaos
-// soak — same topic code under all three.
+// cmd/axbroker (the driver binary), the broker-fanout benchmark
+// workload, and the chaos soak — same topic code under all three.
 //
 // Delivery guarantee: the topic's handler runs Uninterruptible, so a
 // publish batch is fanned out atomically with respect to asynchronous
