@@ -156,7 +156,7 @@ func runCluster(mode string, topics, subsPer, events, batch int) (result, error)
 		pubs := core.Delay(func() core.IO[core.Unit] {
 			io := core.Return(core.UnitValue)
 			for i, ref := range refs {
-				io = core.Then(io, core.Void(core.Fork(publish(ref, fmt.Sprintf("t%d", i), events, batch))))
+				io = core.Then(io, core.Void(core.Fork(publish(ref, fmt.Sprintf("t%d", i), events, batch, core.Return(core.UnitValue)))))
 			}
 			return io
 		})

@@ -8,8 +8,9 @@
 // or duplicated; with -kills > 0 it also shoots the topic actors
 // mid-stream and lets the supervisor restart them — the acceptance
 // property the chaos soak (internal/chaos.RunActor) checks under 100
-// seeds in CI. A short delivery, in either mode, exits 1 once the
-// run's 120 s deadline passes.
+// seeds in CI — and exits 1 if no kill led to a restart. A short
+// delivery, in either mode, exits 1 once the run's 120 s deadline
+// passes.
 //
 // Cluster mode builds a 3-node cluster (in-memory transport or real
 // TCP loopback), places the topics on node A and the subscribers on
@@ -96,7 +97,8 @@ func (r result) rate() float64 { return float64(r.delivered) / r.elapsed.Seconds
 // every topic and every subscriber is a Permanent child of one
 // supervisor — kill a topic and the supervisor restarts it onto the
 // same (surviving) mailbox. Every run is audited for exactly-once
-// delivery; a loss, a duplicate or a missed deadline is an error.
+// delivery; a loss, a duplicate or a missed deadline is an error, and
+// so is a run asked for kills in which none led to a restart.
 func runLocal(shards, topics, subsPer, events, batch, kills int) (result, error) {
 	opts := core.RealTimeOptions()
 	opts.Shards = shards
@@ -122,7 +124,8 @@ func runLocal(shards, topics, subsPer, events, batch, kills int) (result, error)
 			Backoff:   supervise.Backoff{Initial: time.Millisecond, Max: 8 * time.Millisecond},
 		}
 		var topicRefs []actor.Ref[broker.Cmd]
-		setup := core.Return(core.UnitValue)
+		var firstKill core.MVar[core.Unit]
+		setup := core.Map(core.NewEmptyMVar[core.Unit](), func(mv core.MVar[core.Unit]) core.Unit { firstKill = mv; return core.UnitValue })
 		for ti := 0; ti < topics; ti++ {
 			name := fmt.Sprintf("t%d", ti)
 			ti := ti
@@ -156,12 +159,19 @@ func runLocal(shards, topics, subsPer, events, batch, kills int) (result, error)
 		return core.Then(setup, core.Delay(func() core.IO[core.Unit] {
 			return supervise.WithSupervisor(spec, func(s *supervise.Supervisor) core.IO[core.Unit] {
 				sup = s
+				// With kills, every publisher holds its second half until the
+				// first kill has been thrown, so that kill lands mid-stream and
+				// its topic must restart for the delivery to complete.
+				hold := core.Return(core.UnitValue)
+				if kills > 0 {
+					hold = core.Void(core.Read(firstKill))
+				}
 				pubs := core.Lift(func() core.Unit { start = time.Now(); return core.UnitValue })
 				for i, ref := range topicRefs {
-					pubs = core.Then(pubs, core.Void(core.Fork(publish(ref, fmt.Sprintf("t%d", i), events, batch))))
+					pubs = core.Then(pubs, core.Void(core.Fork(publish(ref, fmt.Sprintf("t%d", i), events, batch, hold))))
 				}
 				if kills > 0 {
-					pubs = core.Then(pubs, core.Void(core.Fork(injector(s, topicRefs, kills))))
+					pubs = core.Then(pubs, core.Void(core.Fork(injector(s, topicRefs, kills, &delivered, want, firstKill))))
 				}
 				var drain func() core.IO[core.Unit]
 				drain = func() core.IO[core.Unit] {
@@ -194,11 +204,15 @@ func runLocal(shards, topics, subsPer, events, batch, kills int) (result, error)
 		return r, fmt.Errorf("exactly-once audit FAILED: lost=%d duplicated=%d (delivered %d/%d)",
 			r.lost, r.dup, r.delivered, want)
 	}
+	if kills > 0 && r.restarts == 0 {
+		return r, fmt.Errorf("no kill landed: %d requested, restarts=0, so the audit covered no restart", kills)
+	}
 	return r, nil
 }
 
-// publish emits events [1..total] in batches.
-func publish(ref actor.Ref[broker.Cmd], topic string, total, batch int) core.IO[core.Unit] {
+// publish emits events [1..total] in batches, running hold after the
+// batch that reaches the halfway event.
+func publish(ref actor.Ref[broker.Cmd], topic string, total, batch int, hold core.IO[core.Unit]) core.IO[core.Unit] {
 	var loop func(next int) core.IO[core.Unit]
 	loop = func(next int) core.IO[core.Unit] {
 		if next > total {
@@ -212,22 +226,34 @@ func publish(ref actor.Ref[broker.Cmd], topic string, total, batch int) core.IO[
 		for i := range evs {
 			evs[i] = broker.Event{Topic: topic, Seq: uint64(next + i)}
 		}
-		return core.Then(broker.Publish(ref, evs),
-			core.Delay(func() core.IO[core.Unit] { return loop(next + n) }))
+		pub := broker.Publish(ref, evs)
+		if half := (total + 1) / 2; next <= half && half < next+n {
+			pub = core.Then(pub, hold)
+		}
+		return core.Then(pub, core.Delay(func() core.IO[core.Unit] { return loop(next + n) }))
 	}
 	return loop(1)
 }
 
 // injector shoots ThreadKilled at live topic incarnations while the
-// publishers run.
-func injector(s *supervise.Supervisor, refs []actor.Ref[broker.Cmd], kills int) core.IO[core.Unit] {
+// publishers run. The kills are paced by the delivered count, not the
+// clock, so they land however short the run: kill k waits for
+// k/(kills+1) of the want deliveries, the first for the first one,
+// and once the first has been thrown firstKill is filled, releasing
+// the publishers' second halves.
+func injector(s *supervise.Supervisor, refs []actor.Ref[broker.Cmd], kills int, delivered *atomic.Uint64, want uint64, firstKill core.MVar[core.Unit]) core.IO[core.Unit] {
 	var loop func(k int) core.IO[core.Unit]
 	loop = func(k int) core.IO[core.Unit] {
 		if k >= kills {
 			return core.Return(core.UnitValue)
 		}
-		next := core.Then(core.Sleep(3*time.Millisecond),
-			core.Delay(func() core.IO[core.Unit] { return loop(k + 1) }))
+		if delivered.Load() < max(1, uint64(k)*want/uint64(kills+1)) {
+			return core.Then(core.Sleep(50*time.Microsecond), core.Delay(func() core.IO[core.Unit] { return loop(k) }))
+		}
+		next := core.Delay(func() core.IO[core.Unit] { return loop(k + 1) })
+		if k == 0 {
+			next = core.Then(core.Put(firstKill, core.UnitValue), next)
+		}
 		id := fmt.Sprintf("topic/t%d", k%len(refs))
 		tid, ok := s.ChildThreadID(id)
 		if !ok {

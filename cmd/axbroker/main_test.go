@@ -7,7 +7,8 @@ import (
 )
 
 // TestBrokerDelivers runs the broker the way the command does, small:
-// the local sweep with topic kills, audited for exactly-once delivery,
+// the local sweep with topic kills, audited for exactly-once delivery
+// across at least one restart,
 // and the 3-node cluster over the in-memory transport and over TCP
 // loopback, where every delivery crosses the wire. Each row must
 // deliver every published event to every subscriber.
@@ -27,6 +28,9 @@ func TestBrokerDelivers(t *testing.T) {
 			}
 			if want := uint64(topics * subs * events); r.delivered != want || r.lost != 0 || r.dup != 0 {
 				t.Fatalf("delivered %d/%d, lost %d, duplicated %d", r.delivered, want, r.lost, r.dup)
+			}
+			if r.restarts < 1 {
+				t.Fatalf("%d kills requested, restarts=%d: the audit covered no restart", kills, r.restarts)
 			}
 		})
 	}

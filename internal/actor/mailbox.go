@@ -9,11 +9,12 @@ import (
 )
 
 // mState is the mailbox state held inside one MVar: the buffered
-// messages in arrival order, their obs send spans in a parallel array
-// (no pointers, so the collector never scans it), and whether the
-// receiver — at most one, a mailbox has a single consumer — is parked
-// on the doorbell, with the selective-receive predicate a message must
-// satisfy to ring it (nil accepts anything).
+// messages in arrival order, their obs send spans as runs (every
+// message of one send shares its span, so a send adds one run or
+// extends the last; no pointers, so the collector never scans them),
+// and whether the receiver — at most one, a mailbox has a single
+// consumer — is parked on the doorbell, with the selective-receive
+// predicate a message must satisfy to ring it (nil accepts anything).
 //
 // spare is the buffer's other backing array. While the receiver holds
 // a drained batch, spare is that batch (so its length is nonzero); the
@@ -23,9 +24,25 @@ import (
 type mState[M any] struct {
 	buf    []M
 	spare  []M
-	spans  []uint64
+	spans  []spanRun
 	parked bool
 	pred   func(M) bool
+}
+
+// spanRun is the send span of n consecutive buffered messages.
+type spanRun struct {
+	span uint64
+	n    int
+}
+
+// add appends ms, sent under span.
+func (s *mState[M]) add(span uint64, ms ...M) {
+	s.buf = append(s.buf, ms...)
+	if k := len(s.spans) - 1; k >= 0 && s.spans[k].span == span {
+		s.spans[k].n += len(ms)
+	} else {
+		s.spans = append(s.spans, spanRun{span, len(ms)})
+	}
 }
 
 // recycle takes back the batch the last drain lent out: its slots are
@@ -37,11 +54,20 @@ func (s *mState[M]) recycle() {
 	s.spare = s.spare[:0]
 }
 
-// remove deletes buf[i]. slices.Delete zeroes the vacated slot, so the
-// backing array keeps no reference to a delivered message.
-func (s *mState[M]) remove(i int) {
+// remove deletes buf[i] and returns its send span. slices.Delete zeroes
+// the vacated slot, so the backing array keeps no reference to a
+// delivered message.
+func (s *mState[M]) remove(i int) uint64 {
 	s.buf = slices.Delete(s.buf, i, i+1)
-	s.spans = slices.Delete(s.spans, i, i+1)
+	r := 0
+	for ; i >= s.spans[r].n; r++ {
+		i -= s.spans[r].n
+	}
+	span := s.spans[r].span
+	if s.spans[r].n--; s.spans[r].n == 0 {
+		s.spans = slices.Delete(s.spans, r, r+1)
+	}
+	return span
 }
 
 // first removes and returns the oldest message satisfying pred (nil
@@ -49,9 +75,8 @@ func (s *mState[M]) remove(i int) {
 func (s *mState[M]) first(pred func(M) bool) (m M, n int, span uint64) {
 	for i := range s.buf {
 		if pred == nil || pred(s.buf[i]) {
-			m, span = s.buf[i], s.spans[i]
-			s.remove(i)
-			return m, 1, span
+			m = s.buf[i]
+			return m, 1, s.remove(i)
 		}
 	}
 	return m, 0, 0
@@ -61,13 +86,14 @@ func (s *mState[M]) first(pred func(M) bool) (m M, n int, span uint64) {
 // The returned slice is lent until the receiver's next receive: the
 // empty spare becomes the buffer, so no send writes into the batch
 // meanwhile, and the batch is kept as the spare that receive recycles.
-// The spans array holds no pointers and is kept for the next batch;
-// its capacity is the mailbox's high-water backlog, 8 bytes a message.
+// The span runs hold no pointers and are kept for the next batch;
+// their capacity is the most sends the mailbox has buffered, 16 bytes
+// a send.
 func (s *mState[M]) drain() (ms []M, n int, span uint64) {
 	if len(s.buf) == 0 {
 		return nil, 0, 0
 	}
-	ms, span = s.buf, s.spans[0]
+	ms, span = s.buf, s.spans[0].span
 	s.buf, s.spare, s.spans = s.spare, ms, s.spans[:0]
 	return ms, len(ms), span
 }
@@ -150,8 +176,7 @@ func (mb *Mailbox[M]) ring(s mState[M], n int) core.IO[core.Pair[mState[M], core
 func (mb *Mailbox[M]) Send(m M) core.IO[core.Unit] {
 	return core.Bind(noteSend(mb.name, 1), func(span uint64) core.IO[core.Unit] {
 		return locked(mb, func(s mState[M]) core.IO[core.Pair[mState[M], core.Unit]] {
-			s.buf = append(s.buf, m)
-			s.spans = append(s.spans, span)
+			s.add(span, m)
 			return mb.ring(s, len(s.buf)-1)
 		})
 	})
@@ -168,11 +193,7 @@ func (mb *Mailbox[M]) SendAll(ms []M) core.IO[core.Unit] {
 	return core.Bind(noteSend(mb.name, uint64(len(ms))), func(span uint64) core.IO[core.Unit] {
 		return locked(mb, func(s mState[M]) core.IO[core.Pair[mState[M], core.Unit]] {
 			n := len(s.buf)
-			s.buf = append(s.buf, ms...)
-			s.spans = slices.Grow(s.spans, len(ms))
-			for range ms {
-				s.spans = append(s.spans, span)
-			}
+			s.add(span, ms...)
 			return mb.ring(s, n)
 		})
 	})

@@ -114,10 +114,43 @@ func TestReceiveAllBatchLifetime(t *testing.T) {
 	}
 }
 
+// TestSpanRuns checks that the send spans of buffered messages survive
+// selective removal and drain: each message reads the span of the send
+// that carried it, a send under the last run's span extends that run,
+// and a run emptied by removal goes.
+func TestSpanRuns(t *testing.T) {
+	var s mState[int]
+	s.add(7, 1, 2, 3)
+	s.add(7, 4)
+	s.add(9, 5, 6)
+	s.add(7, 7)
+	if want := []spanRun{{7, 4}, {9, 2}, {7, 1}}; !slices.Equal(s.spans, want) {
+		t.Fatalf("runs %v, want %v", s.spans, want)
+	}
+	late := func(m int) bool { return m > 4 }
+	for _, want := range []struct{ m, span uint64 }{{5, 9}, {6, 9}, {7, 7}} {
+		m, n, span := s.first(late)
+		if n != 1 || uint64(m) != want.m || span != want.span {
+			t.Fatalf("first = (%d, %d, span %d), want (%d, 1, span %d)", m, n, span, want.m, want.span)
+		}
+	}
+	if want := []spanRun{{7, 4}}; !slices.Equal(s.spans, want) {
+		t.Fatalf("runs after removals %v, want %v", s.spans, want)
+	}
+	s.add(3, 8)
+	if m, _, span := s.first(func(m int) bool { return m == 2 }); m != 2 || span != 7 {
+		t.Fatalf("removing message 2 read span %d, want 7", span)
+	}
+	if ms, n, span := s.drain(); n != 4 || !slices.Equal(ms, []int{1, 3, 4, 8}) || span != 7 || len(s.spans) != 0 {
+		t.Fatalf("drain = (%v, %d, span %d), runs left %v", ms, n, span, s.spans)
+	}
+}
+
 // TestMailboxRetainsHighWater is the mailbox row of DESIGN.md's
 // Bounds table: after a burst the mailbox keeps two buffers of its
-// high-water backlog, and steady traffic below it runs in them —
-// no new backing array, no growth in capacity.
+// high-water backlog and at most one span run a send, and steady
+// traffic below it runs in them — no new backing array, no growth in
+// capacity.
 func TestMailboxRetainsHighWater(t *testing.T) {
 	const burst, batch, rounds = 4096, 16, 50
 	type shape struct {
@@ -147,8 +180,11 @@ func TestMailboxRetainsHighWater(t *testing.T) {
 			core.Delay(func() core.IO[[]shape] { return core.Return(shapes) }))
 	}))
 	steady := got[1]
-	if steady.bufs < burst || steady.spn < burst {
-		t.Fatalf("after the burst the mailbox keeps %d buffer and %d span slots, want at least %d each", steady.bufs, steady.spn, burst)
+	if steady.bufs < burst {
+		t.Fatalf("after the burst the mailbox keeps %d buffer slots, want at least %d", steady.bufs, burst)
+	}
+	if steady.spn > 2 {
+		t.Fatalf("after two sends the mailbox keeps %d span-run slots, want at most one a send", steady.spn)
 	}
 	for i, sh := range got[2:] {
 		if !same(sh, steady) {

@@ -256,8 +256,8 @@ func ForkNamed[A any](m IO[A], name string) IO[ThreadID] {
 // ForkOn is ForkNamed pinned to an execution shard (modulo the shard
 // count): the child is created already owned by that shard and reaches
 // its run queue as a cross-shard message, so placement is deterministic
-// instead of left to work stealing. In serial mode it is exactly
-// ForkNamed. Benchmarks and placement-sensitive servers use it to
+// instead of left to work stealing; a pinned thread is not work for a
+// sibling shard. In serial mode it is exactly ForkNamed. Benchmarks and placement-sensitive servers use it to
 // guarantee cross-shard traffic or spread load without a warm-up.
 func ForkOn[A any](shard int, m IO[A], name string) IO[ThreadID] {
 	return IO[ThreadID]{sched.ForkOn(shard, m.node, name)}

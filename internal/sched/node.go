@@ -220,10 +220,10 @@ func ForkNamed(m Node, name string) Node {
 
 // ForkOn is ForkNamed pinned to an execution shard (modulo the shard
 // count): the child is created already owned by that shard and enqueued
-// there via a mailbox message instead of the spawner's run queue.
-// Benchmarks and placement-sensitive servers use it to spread threads
-// deterministically instead of waiting for work stealing; with one
-// shard it is ForkNamed.
+// there via a mailbox message; a pinned thread is not work for a
+// sibling, which never steals it. Benchmarks and placement-sensitive
+// servers use it to spread threads deterministically instead of
+// waiting for work stealing; with one shard it is ForkNamed.
 func ForkOn(shard int, m Node, name string) Node {
 	return primNode{func(rt *RT, t *Thread) (Node, bool) {
 		child := rt.spawnOn(shard, m, name, t.mask, t.id)

@@ -51,17 +51,17 @@ func (q *ringQ) popFront() *Thread {
 	return t
 }
 
-// popBack removes and returns the newest element, or nil when empty.
-// Thieves steal from the tail so the victim's oldest (longest-waiting)
-// threads keep their position at the head.
-func (q *ringQ) popBack() *Thread {
-	if q.n == 0 {
-		return nil
+// removeAt removes and returns the i-th element from the head, moving
+// the ones behind it up by one. Caller guarantees i < Len. Thieves take
+// from the tail so the victim's oldest (longest-waiting) threads keep
+// their position at the head.
+func (q *ringQ) removeAt(i int) *Thread {
+	t := q.at(i)
+	for ; i < q.n-1; i++ {
+		q.buf[(q.head+i)%len(q.buf)] = q.at(i + 1)
 	}
-	i := (q.head + q.n - 1) % len(q.buf)
-	t := q.buf[i]
-	q.buf[i] = nil
 	q.n--
+	q.buf[(q.head+q.n)%len(q.buf)] = nil
 	return t
 }
 
@@ -75,12 +75,4 @@ func (q *ringQ) at(i int) *Thread { return q.buf[(q.head+i)%len(q.buf)] }
 func (q *ringQ) swap(i, j int) {
 	a, b := (q.head+i)%len(q.buf), (q.head+j)%len(q.buf)
 	q.buf[a], q.buf[b] = q.buf[b], q.buf[a]
-}
-
-// clear empties the queue, dropping references.
-func (q *ringQ) clear() {
-	for i := 0; i < q.n; i++ {
-		q.buf[(q.head+i)%len(q.buf)] = nil
-	}
-	q.head, q.n = 0, 0
 }

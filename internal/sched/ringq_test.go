@@ -15,7 +15,8 @@ func ringThreads(n int) []*Thread {
 
 // TestRingQWraparound drives the ring through many push/pop cycles that
 // force head to wrap past the buffer end and the buffer to grow while
-// wrapped, checking FIFO order against a reference slice throughout.
+// wrapped, with removals near the tail as a thief makes them, checking
+// the order against a reference slice throughout.
 func TestRingQWraparound(t *testing.T) {
 	var q ringQ
 	ts := ringThreads(1000)
@@ -29,10 +30,11 @@ func TestRingQWraparound(t *testing.T) {
 			next++
 		} else if len(ref) > 0 {
 			if rng.Intn(4) == 0 {
-				got, want := q.popBack(), ref[len(ref)-1]
-				ref = ref[:len(ref)-1]
+				i := len(ref) - 1 - rng.Intn(min(len(ref), 3))
+				got, want := q.removeAt(i), ref[i]
+				ref = append(ref[:i:i], ref[i+1:]...)
 				if got != want {
-					t.Fatalf("step %d: popBack = %v, want %v", step, got.id, want.id)
+					t.Fatalf("step %d: removeAt(%d) = %v, want %v", step, i, got.id, want.id)
 				}
 			} else {
 				got, want := q.popFront(), ref[0]
@@ -49,7 +51,7 @@ func TestRingQWraparound(t *testing.T) {
 			next = 0 // refill and keep cycling so head keeps wrapping
 		}
 	}
-	if q.popFront() != nil || q.popBack() != nil {
+	if q.popFront() != nil {
 		t.Fatal("pop on empty queue should return nil")
 	}
 }
@@ -108,9 +110,8 @@ func TestRingQAtSwap(t *testing.T) {
 			t.Fatalf("pop %d = %v, want %v", i, got.id, w.id)
 		}
 	}
-	q.clear()
 	if q.Len() != 0 {
-		t.Fatal("clear left elements")
+		t.Fatalf("Len = %d after popping every element", q.Len())
 	}
 }
 

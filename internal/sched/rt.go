@@ -112,6 +112,7 @@ type RT struct {
 	simPick    bool
 	simPerturb bool
 
+	qfree  int32 // runq's unpinned (stealable) threads; fills padding, so RT stays 1152 bytes
 	runq   ringQ
 	timers timerHeap
 
@@ -176,12 +177,12 @@ type RT struct {
 	// processMailbox entry into Stats.MailboxDepth, keeping maximum
 	// tracking off the producer fast path.
 	mailN atomic.Int64
-	// qlen mirrors runq.Len() (written under smu, read lock-free) so
-	// popLocal and steal probe queues without taking locks.
-	qlen atomic.Int32
+	// queued packs runq.Len() and, from bit 32, qfree for lock-free
+	// probes; both change under smu, and one store publishes both.
+	queued atomic.Uint64
 	// idling marks the worker as parked (or about to park) in
 	// idleShard. Wakes are Dekker-paired with it: a producer raises
-	// its counter (mailN/qlen) and then wakes only an idling
+	// its counter (mailN/queued) and then wakes only an idling
 	// shard; the worker sets idling and then re-checks every counter
 	// before sleeping, so one side always observes the other.
 	idling atomic.Bool
@@ -396,7 +397,7 @@ func (rt *RT) runSlice(t *Thread) {
 	}
 	if t.status == statusRunnable {
 		rt.stats.Preemptions++
-		if rt.qlen.Load() == 0 && !rt.opts.RandomSched {
+		if rt.queued.Load() == 0 && !rt.opts.RandomSched {
 			// Run-queue bypass: the shard's sole runnable thread stays
 			// in hand for the next slice instead of round-tripping
 			// through the locked queue. It remains the shard's thread
@@ -621,11 +622,8 @@ func (rt *RT) unpark(t *Thread, v any, e exc.Exception) {
 		// stays parked forever. Seeded bug for the mutation suite.
 		return
 	}
-	rt.obsUnpark(t)
-	t.status = statusRunnable
-	t.park = parkInfo{}
-	t.cur = outcome(v, e)
-	rt.enqueue(t)
+	rt.smu.Lock()
+	rt.unparkQueuedLocked(t, outcome(v, e))
 }
 
 // deliverUnpark resumes a thread whose wakeup this shard just committed

@@ -223,8 +223,8 @@ func (e *engine) send(to *RT, m shardMsg) {
 }
 
 // wakeIdleSibling nudges an idling shard; used when a shard's queue
-// grows beyond one thread so idle siblings come steal. A no-op unless
-// some worker is actually parked.
+// grows beyond one thread, one of them unpinned, so idle siblings come
+// steal. A no-op unless some worker is actually parked.
 func (e *engine) wakeIdleSibling(except int) {
 	n := len(e.shards)
 	if n == 1 || e.idlers.Load() == 0 {
@@ -449,34 +449,36 @@ func (rt *RT) applyMsg(m shardMsg) {
 }
 
 // unparkQueuedLocked finishes an owner-side unpark with rt.smu already
-// held: it makes t runnable with continuation cur, pushes it on the run
-// queue, and releases the lock. The counter bump and sibling wake run
-// after the release. Mirrors unpark, fused into the caller's critical
-// section.
+// held: it makes t runnable with continuation cur and pushes it on the
+// run queue (pushUnlock), so msgUnpark's ownership check and the push
+// share one critical section.
 func (rt *RT) unparkQueuedLocked(t *Thread, cur Node) {
 	rt.obsUnpark(t)
 	t.status = statusRunnable
 	t.park = parkInfo{}
 	t.cur = cur
-	rt.runq.pushBack(t)
-	n := rt.runq.Len()
-	rt.qlen.Store(int32(n))
-	rt.smu.Unlock()
-	rt.eng.runnable.Add(1)
-	if n > 1 {
-		rt.eng.wakeIdleSibling(rt.shardID)
-	}
+	rt.pushUnlock(t)
 }
 
 // enqueue pushes t on this shard's run queue.
 func (rt *RT) enqueue(t *Thread) {
 	rt.smu.Lock()
+	rt.pushUnlock(t)
+}
+
+// pushUnlock pushes t on the run queue with rt.smu held and releases
+// the lock; then it bumps runnable and wakes an idle sibling if the
+// queue holds, beyond the thread its owner pops next, one it may take.
+func (rt *RT) pushUnlock(t *Thread) {
 	rt.runq.pushBack(t)
-	n := rt.runq.Len()
-	rt.qlen.Store(int32(n))
+	if !t.pinned {
+		rt.qfree++
+	}
+	n, free := rt.runq.Len(), rt.qfree
+	rt.queued.Store(uint64(free)<<32 | uint64(n))
 	rt.smu.Unlock()
 	rt.eng.runnable.Add(1)
-	if n > 1 {
+	if n > 1 && free > 0 {
 		rt.eng.wakeIdleSibling(rt.shardID)
 	}
 }
@@ -484,9 +486,9 @@ func (rt *RT) enqueue(t *Thread) {
 // popLocal pops the next runnable thread from this shard's queue, or
 // nil when it is empty: round-robin by default, a uniformly chosen
 // queued thread with Options.RandomSched (see pickRun). The lock-free
-// qlen probe keeps the lock off the path when the queue is empty.
+// queued probe keeps the lock off the path when the queue is empty.
 func (rt *RT) popLocal() *Thread {
-	if rt.qlen.Load() == 0 {
+	if rt.queued.Load() == 0 {
 		return nil
 	}
 	rt.smu.Lock()
@@ -495,7 +497,10 @@ func (rt *RT) popLocal() *Thread {
 			rt.runq.swap(0, rt.pickRun(rt.runq.Len()))
 		}
 		t := rt.runq.popFront()
-		rt.qlen.Store(int32(rt.runq.Len()))
+		if !t.pinned {
+			rt.qfree--
+		}
+		rt.queued.Store(uint64(rt.qfree)<<32 | uint64(rt.runq.Len()))
 		rt.eng.runnable.Add(-1)
 		if t.status == statusRunnable {
 			rt.smu.Unlock()
@@ -526,10 +531,10 @@ func (rt *RT) pickRun(qlen int) int {
 	return idx
 }
 
-// steal takes one runnable thread from the tail of a sibling's queue,
-// transferring ownership. The victim is drawn from the siblings with
-// queued work by this shard's seeded rng, unless a simulation source
-// forces it; a lone shard, or one whose siblings are all empty,
+// steal takes the rearmost unpinned thread from a sibling's queue,
+// transferring ownership (pinned threads are not work for a sibling).
+// The victim is drawn from the siblings with qfree > 0 by this shard's
+// seeded rng, unless a simulation source forces it; with none, steal
 // returns without drawing. The owner pointer changes under the
 // victim's shard lock, so any shard that verified ownership under its
 // own lock can rely on it until that lock is released.
@@ -541,7 +546,7 @@ func (rt *RT) steal() *Thread {
 	var mask uint32
 	cands := rt.stealCands[:0]
 	for i, s := range e.shards {
-		if s != rt && s.qlen.Load() > 0 {
+		if s != rt && s.queued.Load()>>32 > 0 {
 			mask |= 1 << uint(i)
 			cands = append(cands, i)
 		}
@@ -562,16 +567,16 @@ func (rt *RT) steal() *Thread {
 	}
 	v := e.shards[pick]
 	v.smu.Lock()
-	t := v.runq.popBack()
-	if t != nil && t.pinned {
-		// ForkOn affinity: pinned threads stay on their placement
-		// shard; put it back and give up on this victim.
-		v.runq.pushBack(t)
-		t = nil
-	}
+	var t *Thread
 	var tid uint64
-	if t != nil {
-		v.qlen.Store(int32(v.runq.Len()))
+	if v.qfree > 0 {
+		i := v.runq.Len() - 1
+		for v.runq.at(i).pinned {
+			i--
+		}
+		t = v.runq.removeAt(i)
+		v.qfree--
+		v.queued.Store(uint64(v.qfree)<<32 | uint64(v.runq.Len()))
 		t.owner.Store(rt)
 		t.rt = rt
 		tid = uint64(t.id)
@@ -632,15 +637,15 @@ func (rt *RT) popDueTimersLocked(due []*timer, now int64) []*timer {
 
 // hasWork reports whether this worker has anything actionable: a
 // finished run, local runnable work (or a kept thread), pending
-// mailbox messages, or a sibling with queued threads to steal. All
-// probes are lock-free.
+// mailbox messages, or a sibling with an unpinned queued thread to
+// steal. All probes are lock-free.
 func (rt *RT) hasWork() bool {
 	e := rt.eng
-	if e.stopped.Load() || rt.kept != nil || rt.qlen.Load() > 0 || rt.mailN.Load() > 0 {
+	if e.stopped.Load() || rt.kept != nil || rt.queued.Load() > 0 || rt.mailN.Load() > 0 {
 		return true
 	}
 	for _, s := range e.shards {
-		if s != rt && s.qlen.Load() > 0 {
+		if s != rt && s.queued.Load()>>32 > 0 {
 			return true
 		}
 	}
@@ -652,12 +657,12 @@ func (rt *RT) hasWork() bool {
 // in flight is the "last man standing": it alone advances virtual time
 // or runs deadlock detection (quiesceLocked).
 //
-// Before parking the worker spins briefly with Gosched: the reply to a
-// cross-shard ping-pong, or the I/O completion a server just asked
-// for, is usually instants away, and on a machine with fewer cores
-// than goroutines the yield is what lets the peer produce it. The park
-// itself is guarded by the idling flag (Dekker-paired with every
-// producer-side wake).
+// Before parking the worker spins: four Gosched rounds (the reply to a
+// cross-shard ping-pong, or an I/O completion, is usually instants away,
+// and with fewer cores than goroutines the yield lets the peer produce
+// it), then, with siblings, load-only probes that catch work arriving
+// within microseconds without a Go wake-up. The park itself is guarded
+// by the idling flag (Dekker-paired with every producer-side wake).
 func (rt *RT) idleShard() error {
 	e := rt.eng
 	real := e.opts.Clock == RealClock
@@ -666,11 +671,15 @@ func (rt *RT) idleShard() error {
 		// (the busy loop amortizes this to every 32nd iteration).
 		rt.syncRealClockShard()
 	}
-	for spin := 0; spin < 4; spin++ {
+	n := int32(len(e.shards))
+	const idleSpins = 1000 // probes before a shard with siblings parks: no lock, clock or stats copy
+	for spin := 0; spin < idleSpins && (spin < 4 || n > 1); spin++ {
 		if rt.hasWork() {
 			return nil
 		}
-		runtime.Gosched()
+		if spin < 4 {
+			runtime.Gosched()
+		}
 	}
 	// The idlers counter mirrors "shards inside the idle path" exactly:
 	// raised here, dropped on every exit. Only the shard whose increment
@@ -679,7 +688,6 @@ func (rt *RT) idleShard() error {
 	// cannot be missed: a producer raises msgs/runnable before waking
 	// its target, so either this check sees the counter non-zero or the
 	// target shard is woken, re-enters, and re-triggers the check.
-	n := int32(len(e.shards))
 	if e.idlers.Add(1) == n && e.msgs.Load() == 0 && e.runnable.Load() == 0 {
 		e.idleMu.Lock()
 		var acted bool
@@ -696,7 +704,7 @@ func (rt *RT) idleShard() error {
 		}
 	}
 	rt.idling.Store(true)
-	// Dekker pairing: producers raise mailN/qlen first and then
+	// Dekker pairing: producers raise mailN/queued first and then
 	// check idling; we set idling first and then re-check the
 	// counters. Whatever the interleaving, either they see idling and
 	// wake us or we see their work and refuse to park.

@@ -297,16 +297,17 @@ func (rt *RT) runSimulated() {
 	src := e.opts.Sim
 	for !e.stopped.Load() {
 		// A shard is a candidate for a turn when it has work of its own
-		// (a kept or queued thread, mailbox messages) or could steal (someone has queued threads and it has none) —
-		// the same conditions that keep a live worker out of idleShard.
+		// (a kept or queued thread, mailbox messages) or could steal (it
+		// has none and a sibling queues an unpinned thread) — the same
+		// conditions that keep a live worker out of idleShard.
 		var busy, free uint32
 		anyQ := false
 		for i, s := range e.shards {
 			bit := uint32(1) << uint(i)
 			switch {
-			case s.qlen.Load() > 0:
+			case s.queued.Load() > 0:
 				busy |= bit
-				anyQ = true
+				anyQ = anyQ || s.queued.Load()>>32 > 0
 			case s.kept != nil || s.mailN.Load() > 0:
 				busy |= bit
 			default:

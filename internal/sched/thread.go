@@ -166,10 +166,10 @@ type Thread struct {
 	// thread from that shard's run queue.
 	owner atomic.Pointer[RT]
 
-	// pinned marks a ForkOn thread: work stealing skips it, so it stays
-	// on its placement shard. Affinity only — quiescence-time adoption
-	// (virtual-clock timer firing, deadlock injection) still moves it.
-	// Written before the thread is published, never changed after.
+	// pinned marks a ForkOn thread: not work for a sibling (qfree leaves
+	// it out), so it stays on its placement shard. Affinity only —
+	// quiescence-time adoption (timer firing, deadlock injection) still
+	// moves it. Written before the thread is published, never changed.
 	pinned bool
 
 	// sliceLeft counts remaining steps in the current time slice.
